@@ -4,13 +4,8 @@
    A. Group commit on/off (§VII-B): write-heavy single-node YCSB.
    B. MemTable values in host memory vs inside the EPC (§V-B/§VII-D): a big
       value set in the enclave triggers paging.
-   C. Message buffers in host memory vs the naive SCONE port of eRPC that
-      allocates them in the enclave and keeps rdtsc OCALLs (§VII-A).
-   D. SGX hardware monotonic counters vs the ROTE-style service (§VI):
-      per-stabilization latency and the wear-out budget.
-   E. Commit-pipeline batching on/off: epoch stabilization rounds, Clog
-      group commit and RPC burst coalescing together (§VII-B applied across
-      transactions). *)
+   C. SGX hardware monotonic counters vs the ROTE-style service (§VI):
+      per-stabilization latency and the wear-out budget. *)
 
 open Treaty_core
 module Sim = Treaty_sim.Sim
@@ -38,23 +33,6 @@ let throughput ~engine_overrides ~config_overrides =
 
 let row label (tps, ms) =
   Printf.printf "  %-36s %10.1f tps   lat %6.2f ms\n%!" label tps ms
-
-(* Like [throughput] but distributed, parameterized on the full security
-   profile (profiles carry the engine knobs with_profile applies). *)
-let throughput_profile profile ~nodes =
-  let r = ref None in
-  Common.run_sim (fun sim ->
-      let config = { (Common.base_config profile) with Config.nodes } in
-      let cluster = Common.make_cluster sim config () in
-      Common.load_ycsb cluster ycsb;
-      let res =
-        W.Driver.run_clients cluster ~clients:(Common.scale_clients 32)
-          ~duration_ns:(Common.duration_ns ()) ~warmup_ns:(Common.warmup_ns ())
-          ~txn:(Common.ycsb_txn ycsb) ()
-      in
-      Cluster.shutdown cluster;
-      r := Some (W.Driver.tps res, W.Driver.mean_ms res));
-  Option.get !r
 
 (* Group commit amortizes device write latency: evaluate it on a device
    where that latency is material (SATA-class fsync), not the fast-NVMe
@@ -85,19 +63,7 @@ let run () =
             MemTable does on real SGXv1. *)
          { c with Config.cost = { c.Config.cost with Treaty_sim.Costmodel.epc_limit_bytes = 2 * 1024 * 1024 } }));
 
-  Common.subsection "C. message buffers: host memory vs naive enclave port";
-  row "msgbufs in host memory (Treaty)"
-    (throughput ~engine_overrides:Common.id_engine ~config_overrides:Fun.id);
-  row "naive port (enclave msgbufs + rdtsc OCALLs)"
-    (throughput ~engine_overrides:Common.id_engine
-       ~config_overrides:(fun c ->
-         {
-           c with
-           Config.naive_rpc_port = true;
-           cost = { c.Config.cost with Treaty_sim.Costmodel.epc_limit_bytes = 2 * 1024 * 1024 };
-         }));
-
-  Common.subsection "D. trusted counter: SGX hardware counter vs ROTE service";
+  Common.subsection "C. trusted counter: SGX hardware counter vs ROTE service";
   let sim = Sim.create () in
   let cost = Treaty_sim.Costmodel.default in
   let e = Enclave.create sim ~mode:Enclave.Scone ~cost ~cores:8 ~node_id:1 ~code_identity:"hw" in
@@ -126,12 +92,3 @@ let run () =
       | Error `No_quorum -> failwith "no quorum");
       Printf.printf "  ROTE echo-broadcast increment: %.2f ms (no wear, survives CPU loss)\n%!"
         (float_of_int (Sim.now sim2 - t0) /. 1e6));
-
-  Common.subsection
-    "E. commit-pipeline batching (3 nodes, YCSB 20%R, stabilization on)";
-  row "batching ON (epoch rounds, group commit, bursts)"
-    (throughput_profile Config.treaty_enc_stab ~nodes:3);
-  row "batching OFF (per-log rounds, per-record appends)"
-    (throughput_profile
-       { Config.treaty_enc_stab with Config.batching = false }
-       ~nodes:3)

@@ -11,127 +11,13 @@ module W = Treaty_workload
 module Enclave = Treaty_tee.Enclave
 
 let profiles =
+  let secure = { Config.ds_rocksdb with Config.tee = Enclave.Scone } in
   [
-    ("Native 2PC", { Config.tee = Enclave.Native; encryption = false; authentication = false; stabilization = false; batching = true; batch_crypto = true; read_opt = true; block_cache_bytes = Config.default_block_cache_bytes; sanitize = false; trace = false; metrics = false });
-    ("Native w/ Enc", { Config.tee = Enclave.Native; encryption = true; authentication = false; stabilization = false; batching = true; batch_crypto = true; read_opt = true; block_cache_bytes = Config.default_block_cache_bytes; sanitize = false; trace = false; metrics = false });
-    ("Secure w/o Enc", { Config.tee = Enclave.Scone; encryption = false; authentication = false; stabilization = false; batching = true; batch_crypto = true; read_opt = true; block_cache_bytes = Config.default_block_cache_bytes; sanitize = false; trace = false; metrics = false });
-    ("Secure w/ Enc", { Config.tee = Enclave.Scone; encryption = true; authentication = false; stabilization = false; batching = true; batch_crypto = true; read_opt = true; block_cache_bytes = Config.default_block_cache_bytes; sanitize = false; trace = false; metrics = false });
+    ("Native 2PC", Config.ds_rocksdb);
+    ("Native w/ Enc", { Config.ds_rocksdb with Config.encryption = true });
+    ("Secure w/o Enc", secure);
+    ("Secure w/ Enc", { secure with Config.encryption = true });
   ]
-
-(* Commit pipeline: full-stack treaty-enc-stab with the batching knob on and
-   off. The interesting number is ROTE stabilization rounds per committed
-   transaction: unbatched, every distributed commit pays at least two (Begin
-   + Decision); the epoch pump plus Clog group commit amortize rounds across
-   concurrent transactions, so with enough offered load the ratio drops
-   below one. *)
-
-type pipeline_row = {
-  tps : float;
-  committed : int;
-  increments : int;
-  rounds_per_txn : float;
-  clog_items_per_batch : float;
-  wal_items_per_batch : float;
-  msgs_per_packet : float;
-  crypto_ns_per_txn : float;
-      (* Enclave ns spent in AEAD seal/open per committed transaction — the
-         number the burst-level (v2) envelope exists to shrink. *)
-}
-
-let pipeline_run profile ~ycsb ~clients =
-  let row = ref None in
-  Common.run_sim (fun sim ->
-      let config = Common.base_config profile in
-      let cluster = Common.make_cluster sim config () in
-      Common.load_ycsb cluster ycsb;
-      let p0 = Cluster.pipeline_counters cluster in
-      let c0 = Cluster.total_committed cluster in
-      let r =
-        W.Driver.run_clients cluster ~clients
-          ~duration_ns:(Common.duration_ns ()) ~warmup_ns:(Common.warmup_ns ())
-          ~txn:(Common.ycsb_txn ycsb) ()
-      in
-      let p1 = Cluster.pipeline_counters cluster in
-      let delta name = List.assoc name p1 - List.assoc name p0 in
-      let committed = Cluster.total_committed cluster - c0 in
-      let increments = delta "rote.increments" in
-      let ratio num den = if den = 0 then 0. else float_of_int num /. float_of_int den in
-      row :=
-        Some
-          {
-            tps = W.Driver.tps r;
-            committed;
-            increments;
-            rounds_per_txn = ratio increments committed;
-            clog_items_per_batch =
-              ratio (delta "clog.items") (delta "clog.batches");
-            wal_items_per_batch = ratio (delta "wal.items") (delta "wal.batches");
-            msgs_per_packet =
-              ratio (delta "rpc.burst_msgs") (delta "rpc.bursts_sent");
-            crypto_ns_per_txn = ratio (delta "crypto.ns") committed;
-          };
-      Cluster.shutdown cluster);
-  Option.get !row
-
-let json_row b name (r : pipeline_row) =
-  Printf.bprintf b
-    "    { \"name\": %S, \"tps\": %.1f, \"committed\": %d, \
-     \"rote_increments\": %d, \"rounds_per_txn\": %.4f, \
-     \"clog_items_per_batch\": %.2f, \"wal_items_per_batch\": %.2f, \
-     \"msgs_per_packet\": %.2f, \"crypto_ns_per_txn\": %.1f }"
-    name r.tps r.committed r.increments r.rounds_per_txn r.clog_items_per_batch
-    r.wal_items_per_batch r.msgs_per_packet r.crypto_ns_per_txn
-
-let write_pipeline_json ~clients rows =
-  let b = Buffer.create 512 in
-  Printf.bprintf b "{\n  \"clients\": %d,\n  \"configs\": [\n" clients;
-  List.iteri
-    (fun i (name, r) ->
-      if i > 0 then Buffer.add_string b ",\n";
-      json_row b name r)
-    rows;
-  Buffer.add_string b "\n  ] }";
-  Common.pipeline_json_set ~key:"pipeline" (Buffer.contents b)
-
-let pipeline_print label (r : pipeline_row) =
-  Printf.printf
-    "  %-16s %9.1f tps   %6.3f rounds/txn   clog %5.2f/batch   wal \
-     %5.2f/batch   %5.2f msgs/pkt   crypto %8.0f ns/txn\n%!"
-    label r.tps r.rounds_per_txn r.clog_items_per_batch r.wal_items_per_batch
-    r.msgs_per_packet r.crypto_ns_per_txn
-
-let run_pipeline () =
-  Common.subsection
-    "commit pipeline: batched vs no-batch-crypto vs unbatched \
-     (treaty-enc-stab)";
-  (* Wide keyspace here too: under a contended keyspace the commit counts
-     are dominated by lock-wait interleaving chaos and the batching knobs
-     drown in it; protocol-bound, the crypto and coalescing deltas are the
-     signal. Always 64 clients — the coalescing factor (msgs/packet) and
-     the amortized crypto cost are the whole point of this row, and both
-     need offered load. *)
-  let ycsb =
-    { W.Ycsb.default with W.Ycsb.read_fraction = 0.5; n_keys = 50_000 }
-  in
-  let clients = 64 in
-  Printf.printf "  YCSB 50R/50W, %d clients, 3 nodes, stabilization on\n%!"
-    clients;
-  let rows =
-    [
-      ("batched", pipeline_run Config.treaty_enc_stab ~ycsb ~clients);
-      ( "no-batch-crypto",
-        pipeline_run
-          { Config.treaty_enc_stab with Config.batch_crypto = false }
-          ~ycsb ~clients );
-      ( "unbatched",
-        pipeline_run
-          { Config.treaty_enc_stab with Config.batching = false }
-          ~ycsb ~clients );
-    ]
-  in
-  List.iter (fun (name, r) -> pipeline_print name r) rows;
-  write_pipeline_json ~clients rows;
-  Printf.printf "  wrote BENCH_commit_pipeline.json\n%!"
 
 let run () =
   Common.section "Figure 4: 2PC protocol in isolation (no storage)";
@@ -166,5 +52,4 @@ let run () =
         ~mean_ms:(W.Driver.mean_ms r) ~p99:(W.Driver.p99_ms r))
     results;
   Common.expected
-    "Native w/ Enc ~1.0-1.1x, Secure w/o Enc ~1.8x, Secure w/ Enc ~2.0x";
-  run_pipeline ()
+    "Native w/ Enc ~1.0-1.1x, Secure w/o Enc ~1.8x, Secure w/ Enc ~2.0x"

@@ -13,9 +13,6 @@ type config = {
   initial_balance : int;
   keys_per_client : int;
   drain_ns : int;
-  batching : bool;
-  batch_crypto : bool;
-  read_opt : bool;
   cc : Types.isolation;
   trace : bool;
 }
@@ -31,9 +28,6 @@ let default_config =
     initial_balance = 100;
     keys_per_client = 2;
     drain_ns = ms 1_500;
-    batching = true;
-    batch_crypto = true;
-    read_opt = true;
     cc = Types.Pessimistic;
     trace = false;
   }
@@ -60,9 +54,6 @@ let cluster_config cfg ~seed =
   let profile =
     {
       Config.treaty_enc_stab with
-      batching = cfg.batching;
-      batch_crypto = cfg.batch_crypto;
-      read_opt = cfg.read_opt;
       sanitize = true;
       trace = cfg.trace;
     }

@@ -23,21 +23,6 @@ type config = {
   initial_balance : int;
   keys_per_client : int;  (** Private keys per client for the kv workload. *)
   drain_ns : int;  (** Post-schedule settle time before invariant checks. *)
-  batching : bool;
-      (** Run with the commit-pipeline batching profile knob; [false]
-          exercises the unbatched (one round per log, one packet per
-          message) path under the same fault schedules. *)
-  batch_crypto : bool;
-      (** Run with the burst-level AEAD knob (v2 packet envelope,
-          {!Treaty_rpc.Secure_msg.Burst}); [false] exercises the v1
-          per-message-sealed envelope under the same fault schedules —
-          tampering detection and recovery must come out identical either
-          way. *)
-  read_opt : bool;
-      (** Run with the authenticated read-path acceleration knob (Bloom
-          filters + verified block cache); [false] exercises the
-          verify-every-block path under the same fault schedules — recovery
-          must come out identical either way. *)
   cc : Treaty_core.Types.isolation;
       (** Concurrency-control mode for the whole cluster:
           [Pessimistic] (2PL, the default) or [Optimistic]

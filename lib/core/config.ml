@@ -5,9 +5,6 @@ type security_profile = {
   encryption : bool;
   authentication : bool;
   stabilization : bool;
-  batching : bool;
-  batch_crypto : bool;
-  read_opt : bool;
   block_cache_bytes : int;
   sanitize : bool;
   trace : bool;
@@ -16,60 +13,26 @@ type security_profile = {
 
 let default_block_cache_bytes = 8 * 1024 * 1024
 
+(* The paper's baseline; every other named profile is derived from it. *)
 let ds_rocksdb =
   {
     tee = Enclave.Native;
     encryption = false;
     authentication = false;
     stabilization = false;
-    batching = true;
-    batch_crypto = true;
-    read_opt = true;
     block_cache_bytes = default_block_cache_bytes;
     sanitize = false;
     trace = false;
     metrics = false;
   }
 
-let native_treaty =
-  {
-    tee = Enclave.Native;
-    encryption = false;
-    authentication = true;
-    stabilization = false;
-    batching = true;
-    batch_crypto = true;
-    read_opt = true;
-    block_cache_bytes = default_block_cache_bytes;
-    sanitize = false;
-    trace = false;
-    metrics = false;
-  }
-
+let native_treaty = { ds_rocksdb with authentication = true }
 let native_treaty_enc = { native_treaty with encryption = true }
-
-let treaty_no_enc =
-  {
-    tee = Enclave.Scone;
-    encryption = false;
-    authentication = true;
-    stabilization = false;
-    batching = true;
-    batch_crypto = true;
-    read_opt = true;
-    block_cache_bytes = default_block_cache_bytes;
-    sanitize = false;
-    trace = false;
-    metrics = false;
-  }
-
+let treaty_no_enc = { native_treaty with tee = Enclave.Scone }
 let treaty_enc = { treaty_no_enc with encryption = true }
 let treaty_enc_stab = { treaty_enc with stabilization = true }
 
 let profile_name p =
-  let unbatched = if p.batching then "" else " unbatched" in
-  let unsealed = if p.batch_crypto then "" else " no-batch-crypto" in
-  let unread = if p.read_opt then "" else " no-readopt" in
   let sanitized = if p.sanitize then " +san" else "" in
   (match (p.tee, p.encryption, p.authentication, p.stabilization) with
   | Enclave.Native, false, false, false -> "DS-RocksDB"
@@ -80,7 +43,7 @@ let profile_name p =
   | Enclave.Scone, true, true, true -> "Treaty w/ Enc w/ Stab"
   | Enclave.Native, _, _, _ -> "custom (native)"
   | Enclave.Scone, _, _, _ -> "custom (scone)")
-  ^ unbatched ^ unsealed ^ unread ^ sanitized
+  ^ sanitized
 
 type t = {
   profile : security_profile;
@@ -106,7 +69,6 @@ type t = {
   burst_window_ns : int;
   sanitize_fiber_stall_ns : int;
   record_history : bool;
-  naive_rpc_port : bool;
   seed : int64;
 }
 
@@ -135,7 +97,6 @@ let default =
     burst_window_ns = 8_000;
     sanitize_fiber_stall_ns = 10_000_000_000;
     record_history = false;
-    naive_rpc_port = false;
     seed = 0xC0FFEEL;
   }
 
@@ -147,8 +108,6 @@ let with_profile t profile =
       {
         t.engine with
         Treaty_storage.Engine.wait_commit_stable = profile.stabilization;
-        clog_group_commit = profile.batching;
-        read_opt = profile.read_opt;
         block_cache_bytes = profile.block_cache_bytes;
       };
   }

@@ -26,7 +26,6 @@ type stats = {
 val create :
   ?attempts:int ->
   ?retry_backoff_ns:int ->
-  ?batch_logs:bool ->
   ?epoch_window_ns:int ->
   Rote.replica ->
   owner:int ->
@@ -34,9 +33,7 @@ val create :
 (** [owner] is the node whose logs this client stabilizes. [attempts]
     (default 40) bounds consecutive no-quorum retries before pending waiters
     are failed; [retry_backoff_ns] (default 2 ms) is the sleep between
-    retries. [batch_logs:false] restricts each round to a single log — the
-    ablation knob reproducing the pre-batching one-round-per-log behaviour.
-    [epoch_window_ns] (default 250 µs batched, 0 unbatched) is how long the
+    retries. [epoch_window_ns] (default 250 µs) is how long the
     pump accumulates submissions before each round: the group-commit trade
     of a bounded latency hit for rounds amortized across transactions. *)
 

@@ -18,13 +18,6 @@ type config = {
   transport : Transport.kind;  (** [Dpdk] for Treaty; kernel paths for baselines. *)
   params : Transport.params;
   security : Secure_msg.security;
-  msgbuf_region : Treaty_memalloc.Mempool.region;
-      (** [Host] for Treaty; [Enclave] models the naive SCONE port of eRPC
-          that triggers EPC paging (§VII-A). *)
-  rdtsc_ocalls : bool;
-      (** Model the unmodified eRPC codebase whose timestamping OCALLs cause
-          a world switch per burst (Treaty replaces rdtsc with a monotonic
-          counter). *)
   timeout_ns : int;  (** Default request timeout. *)
   dedup_ttl_ns : int;
       (** Lifetime of at-most-once cache entries whose identity is
@@ -40,15 +33,11 @@ type config = {
   burst_max_msgs : int;
       (** Flush a destination's burst early once it holds this many
           messages. *)
-  batch_crypto : bool;
-      (** Packet envelope v2 ({!Secure_msg.Burst}): frame the whole burst
-          into one mempool-backed buffer and seal it with a single
-          packet-level AEAD — one IV, one keystream pass, one MAC and one
-          crypto charge per packet. [false] falls back to the v1 envelope
-          (every sub-message individually sealed) as the ablation. The
-          receive path decodes both versions regardless of this flag, so
-          mixed senders interoperate. *)
 }
+(** Every packet — one message or a whole burst — is sealed as one
+    {!Secure_msg.Burst} envelope: one IV, one keystream pass, one MAC and one
+    crypto charge per packet, framed in a host-memory mempool buffer. A
+    packet with any other leading version byte is rejected as malformed. *)
 
 val default_config : security:Secure_msg.security -> config
 

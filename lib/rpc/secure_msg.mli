@@ -61,7 +61,8 @@ val wire_size : security -> data_len:int -> int
     and hands out per-message views. *)
 module Burst : sig
   val version : int
-  (** Leading packet byte: [2]. (v1 envelopes lead with [1].) *)
+  (** Leading packet byte: [2]. (The retired v1 per-message envelope led
+      with [1]; endpoints reject it.) *)
 
   val wire_size : security -> data_lens:int list -> int
   (** Exact packet size for a burst whose payloads have the given sizes. *)

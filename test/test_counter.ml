@@ -165,31 +165,6 @@ let multi_log_epoch_rounds () =
         true
         (rs.Rote.targets > rs.Rote.increments))
 
-let per_log_knob_costs_more_rounds () =
-  (* batch_logs:false is the ablation: same submissions, one log per round. *)
-  with_group (fun _sim group ->
-      let _, r1 = List.hd group in
-      let batched = CC.create r1 ~owner:1 in
-      let unbatched = CC.create ~batch_logs:false r1 ~owner:2 in
-      let drive cc =
-        List.iter
-          (fun log ->
-            for c = 1 to 5 do
-              CC.submit cc ~log ~counter:c
-            done)
-          [ "WAL"; "MANIFEST"; "Clog" ];
-        List.iter
-          (fun log -> expect_stable log (CC.wait_stable cc ~log ~counter:5))
-          [ "WAL"; "MANIFEST"; "Clog" ]
-      in
-      drive batched;
-      drive unbatched;
-      let rb = (CC.stats batched).CC.rounds_started in
-      let ru = (CC.stats unbatched).CC.rounds_started in
-      Alcotest.(check bool)
-        (Printf.sprintf "epoch rounds (%d) < per-log rounds (%d)" rb ru)
-        true (rb < ru))
-
 let abandoned_round_fails_waiters () =
   (* Quorum loss past the retry budget must fail pending waiters with
      [`Stability_timeout], not strand their fibers forever. *)
@@ -223,6 +198,5 @@ let suite =
     Alcotest.test_case "stabilization batches rounds" `Quick client_batches_rounds;
     Alcotest.test_case "waiters woken at watermark" `Quick client_wakes_waiters_in_order;
     Alcotest.test_case "epoch rounds span all logs" `Quick multi_log_epoch_rounds;
-    Alcotest.test_case "per-log knob costs more rounds" `Quick per_log_knob_costs_more_rounds;
     Alcotest.test_case "abandoned round fails waiters" `Quick abandoned_round_fails_waiters;
   ]

@@ -197,8 +197,8 @@ let tpcc_trace_tree () =
 
 (* --- determinism ------------------------------------------------------- *)
 
-let chaos_trace ~batching ~seed =
-  let cfg = { Chaos.default_config with Chaos.trace = true; batching } in
+let chaos_trace ~cc ~seed =
+  let cfg = { Chaos.default_config with Chaos.trace = true; cc } in
   (match Chaos.run_seed ~config:cfg ~seed () with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "chaos seed %d failed: %s" seed m);
@@ -206,20 +206,20 @@ let chaos_trace ~batching ~seed =
 
 let trace_determinism () =
   List.iter
-    (fun batching ->
-      let a = chaos_trace ~batching ~seed:11 in
-      let b = chaos_trace ~batching ~seed:11 in
+    (fun (cc, name) ->
+      let a = chaos_trace ~cc ~seed:11 in
+      let b = chaos_trace ~cc ~seed:11 in
       Alcotest.(check bool)
-        (Printf.sprintf "trace non-trivial (batching=%b)" batching)
+        (Printf.sprintf "trace non-trivial (cc=%s)" name)
         true
         (String.length a > 1000);
       Alcotest.(check bool)
-        (Printf.sprintf "same seed, byte-identical trace (batching=%b)" batching)
+        (Printf.sprintf "same seed, byte-identical trace (cc=%s)" name)
         true (String.equal a b))
-    [ true; false ];
+    [ (Types.Pessimistic, "2pl"); (Types.Optimistic, "occ") ];
   (* Different seeds must not happen to collide: the trace reflects the run. *)
-  let c = chaos_trace ~batching:true ~seed:12 in
-  let d = chaos_trace ~batching:true ~seed:11 in
+  let c = chaos_trace ~cc:Types.Pessimistic ~seed:12 in
+  let d = chaos_trace ~cc:Types.Pessimistic ~seed:11 in
   Alcotest.(check bool) "different seed, different trace" true
     (not (String.equal c d));
   Trace.reset ()

@@ -10,6 +10,7 @@ module Erpc = Treaty_rpc.Erpc
 module Secure_msg = Treaty_rpc.Secure_msg
 module Transport = Treaty_rpc.Transport
 module Aead = Treaty_crypto.Aead
+module Wire = Treaty_util.Wire
 
 let meta =
   {
@@ -365,38 +366,49 @@ let burst_tamper_whole_packet () =
   done;
   ignore body_off
 
-let rpc_mixed_envelope_versions () =
-  (* A v1-only sender (batch_crypto=false) and a v2 sender interoperate:
-     the receive path dispatches on the packet version byte, not on the
-     local config. *)
+let rpc_v1_envelope_rejected () =
+  (* The retired v1 envelope — leading byte 0x01, then a framed list of
+     individually sealed messages — is no longer accepted. Even when every
+     per-message seal is valid under the network key, the packet counts as
+     one MAC failure, no handler runs, and the endpoint keeps serving
+     burst-sealed calls. *)
   let key = Aead.key_of_string "net" in
-  let sim = Sim.create () in
-  let net = Net.create sim Treaty_sim.Costmodel.default in
-  Sim.run sim (fun () ->
-      let mk node_id ~batch_crypto =
-        let enclave =
-          Enclave.create sim ~mode:Enclave.Scone
-            ~cost:Treaty_sim.Costmodel.default ~cores:4 ~node_id
-            ~code_identity:"rpc-test"
-        in
-        let pool = Treaty_memalloc.Mempool.create enclave in
-        Erpc.create sim ~net ~enclave ~pool
-          ~config:
-            {
-              (Erpc.default_config ~security:(Secure_msg.Secure key)) with
-              Erpc.batch_crypto;
-            }
-          ~node_id ()
+  let security = Secure_msg.Secure key in
+  with_pair ~security (fun sim net a b ->
+      let executions = ref 0 in
+      Erpc.register b ~kind:1 (fun _ payload ->
+          incr executions;
+          "ok:" ^ payload);
+      let request =
+        {
+          Secure_msg.coord = 1;
+          tx_seq = 77;
+          op_id = 1;
+          src = 1;
+          kind = 1;
+          is_response = false;
+          req_id = 1;
+        }
       in
-      let v1 = mk 1 ~batch_crypto:false and v2 = mk 2 ~batch_crypto:true in
-      Erpc.register v1 ~kind:1 (fun _ payload -> "v1:" ^ payload);
-      Erpc.register v2 ~kind:1 (fun _ payload -> "v2:" ^ payload);
-      (match Erpc.call v1 ~dst:2 ~kind:1 "up" with
-      | Ok r -> Alcotest.(check string) "v1 -> v2" "v2:up" r
-      | Error _ -> Alcotest.fail "v1 -> v2 call failed");
-      match Erpc.call v2 ~dst:1 ~kind:1 "down" with
-      | Ok r -> Alcotest.(check string) "v2 -> v1" "v1:down" r
-      | Error _ -> Alcotest.fail "v2 -> v1 call failed")
+      let ivg = Aead.Iv_gen.create ~node_id:9 in
+      let wire = Secure_msg.encode security ~iv_gen:ivg request "legacy" in
+      (match Secure_msg.decode security wire with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "per-message seal should verify");
+      let packet = Buffer.create 64 in
+      Wire.w8 packet 1;
+      Wire.wlist packet Wire.wstr [ wire ];
+      let before = (Erpc.stats b).mac_failures in
+      Net.send net ~src:1 ~dst:2 (Buffer.contents packet);
+      Sim.sleep sim 5_000_000;
+      Alcotest.(check int) "v1 packet counted as one MAC failure" (before + 1)
+        (Erpc.stats b).mac_failures;
+      Alcotest.(check int) "no handler ran" 0 !executions;
+      match Erpc.call a ~dst:2 ~kind:1 "v2" with
+      | Ok r ->
+          Alcotest.(check string) "burst-sealed call served" "ok:v2" r;
+          Alcotest.(check int) "handler ran once" 1 !executions
+      | Error _ -> Alcotest.fail "burst-sealed call after v1 packet failed")
 
 let suite =
   [
@@ -418,6 +430,6 @@ let suite =
     QCheck_alcotest.to_alcotest burst_roundtrip_equiv;
     Alcotest.test_case "burst tamper rejects whole packet" `Quick
       burst_tamper_whole_packet;
-    Alcotest.test_case "v1/v2 envelope senders interoperate" `Quick
-      rpc_mixed_envelope_versions;
+    Alcotest.test_case "v1 envelope packets are rejected" `Quick
+      rpc_v1_envelope_rejected;
   ]

@@ -1,4 +1,4 @@
-(* Shared diagnostics for TreatyCheck and treaty-lint.
+(* Diagnostics for every TreatyCheck pass, syntactic and interprocedural.
 
    A violation carries the site it should be fixed at (file:line), the rule
    that fired, a message, and — for the interprocedural passes — a witness
@@ -6,8 +6,8 @@
    sink/leaf, one frame per call site. The chain prints indented under the
    main diagnostic so a reader can replay the flow.
 
-   The allowlist format is the one treaty-lint has always used, shared by
-   both tools so there is exactly one place justified exceptions live:
+   One allowlist serves every pass, so there is exactly one place justified
+   exceptions live:
 
      path-suffix rule reason...
 

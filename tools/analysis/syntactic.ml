@@ -1,4 +1,4 @@
-(* The per-file syntactic rule engine behind treaty-lint.
+(* The per-file syntactic rule engine behind treatycheck --pass lint.
 
    This is the Parsetree half of TreatyCheck: zone rules that are purely
    about *which module is mentioned where* (trust zones, determinism bans,
@@ -332,17 +332,18 @@ let run_self_test () =
       end)
     self_tests;
   if !failures = 0 then begin
-    Printf.printf "treaty-lint self-test: %d cases ok\n"
+    Printf.printf "treatycheck --pass lint self-test: %d cases ok\n"
       (List.length self_tests);
     0
   end
   else begin
-    Printf.printf "treaty-lint self-test: %d failures\n" !failures;
+    Printf.printf "treatycheck --pass lint self-test: %d failures\n"
+      !failures;
     1
   end
 
 (* Every rule this engine can emit — drivers use it to partition the shared
-   allowlist between treaty-lint and treatycheck. *)
+   allowlist between the lint pass and the interprocedural passes. *)
 let rules =
   [ "wildcard-match"; "crypto-primitive"; "untrusted-zone"; "hw-counter";
     "obs-zone"; "nondeterminism"; "partial-failure"; "cache-zone";
