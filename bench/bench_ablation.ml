@@ -15,21 +15,14 @@ module Enclave = Treaty_tee.Enclave
 let ycsb = { W.Ycsb.default with W.Ycsb.read_fraction = 0.2 }
 
 let throughput ~engine_overrides ~config_overrides =
-  let r = ref None in
   Common.run_sim (fun sim ->
-      let config = Common.base_config Config.treaty_enc in
-      let config = config_overrides { config with Config.nodes = 1 } in
-      let config = { config with Config.engine = engine_overrides config.Config.engine } in
-      let cluster = Common.make_cluster sim config () in
-      Common.load_ycsb cluster ycsb;
-      let res =
-        W.Driver.run_clients cluster ~clients:(Common.scale_clients 32)
-          ~duration_ns:(Common.duration_ns ()) ~warmup_ns:(Common.warmup_ns ())
-          ~txn:(Common.ycsb_txn ycsb) ()
+      let _, r =
+        Common.ycsb_run sim Config.treaty_enc ~ycsb
+          ~clients:(Common.scale_clients 32) ~config:(fun c ->
+            let c = config_overrides { c with Config.nodes = 1 } in
+            { c with Config.engine = engine_overrides c.Config.engine })
       in
-      Cluster.shutdown cluster;
-      r := Some (W.Driver.tps res, W.Driver.mean_ms res));
-  Option.get !r
+      (W.Driver.tps r, W.Driver.mean_ms r))
 
 let row label (tps, ms) =
   Printf.printf "  %-36s %10.1f tps   lat %6.2f ms\n%!" label tps ms
@@ -45,7 +38,7 @@ let run () =
   Common.section "Ablations";
   Common.subsection "A. group commit (single-node, YCSB 20%R, slow fsync device)";
   row "group commit ON"
-    (throughput ~engine_overrides:Common.id_engine ~config_overrides:slow_ssd);
+    (throughput ~engine_overrides:Fun.id ~config_overrides:slow_ssd);
   row "group commit OFF"
     (throughput
        ~engine_overrides:(fun e -> { e with Treaty_storage.Engine.group_commit = false })
@@ -53,7 +46,7 @@ let run () =
 
   Common.subsection "B. MemTable values: host memory vs enclave (EPC)";
   row "values in host memory (Treaty)"
-    (throughput ~engine_overrides:Common.id_engine ~config_overrides:Fun.id);
+    (throughput ~engine_overrides:Fun.id ~config_overrides:Fun.id);
   row "values inside the enclave"
     (throughput
        ~engine_overrides:(fun e ->

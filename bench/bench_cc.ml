@@ -23,36 +23,12 @@ type row = {
 
 let modes = [ ("2pl", Types.Pessimistic); ("occ", Types.Optimistic) ]
 
-let ycsb_txn_cc cfg ~ro_fast_path =
-  let generators = Hashtbl.create 16 in
-  fun client ~client_index rng ->
-    let g =
-      match Hashtbl.find_opt generators client_index with
-      | Some g -> g
-      | None ->
-          let g = W.Ycsb.generator cfg rng in
-          Hashtbl.replace generators client_index g;
-          g
-    in
-    W.Ycsb.run_txn ~ro_fast_path client None (W.Ycsb.next_txn g)
-
 let run_one ~isolation ~read_fraction =
-  let out = ref None in
   Common.run_sim (fun sim ->
       let ycsb = { W.Ycsb.default with W.Ycsb.read_fraction } in
-      let config =
-        { (Common.base_config Config.treaty_enc_stab) with Config.isolation }
-      in
-      let cluster = Common.make_cluster sim config () in
-      Common.load_ycsb cluster ycsb;
-      let ro_fast_path = isolation = Types.Optimistic in
-      let r =
-        W.Driver.run_clients cluster
+      let cluster, r =
+        Common.ycsb_run ~isolation sim Config.treaty_enc_stab ~ycsb
           ~clients:(Common.scale_clients 96)
-          ~duration_ns:(Common.duration_ns ())
-          ~warmup_ns:(Common.warmup_ns ())
-          ~txn:(ycsb_txn_cc ycsb ~ro_fast_path)
-          ()
       in
       let ro_txns =
         List.fold_left
@@ -61,18 +37,14 @@ let run_one ~isolation ~read_fraction =
           0
           (List.init (Cluster.n_nodes cluster) Fun.id)
       in
-      Cluster.shutdown cluster;
-      out :=
-        Some
-          {
-            tps = W.Driver.tps r;
-            mean_ms = W.Driver.mean_ms r;
-            p99_ms = W.Driver.p99_ms r;
-            committed = W.Stats.committed r.W.Driver.stats;
-            aborted = W.Stats.aborted r.W.Driver.stats;
-            ro_txns;
-          });
-  Option.get !out
+      {
+        tps = W.Driver.tps r;
+        mean_ms = W.Driver.mean_ms r;
+        p99_ms = W.Driver.p99_ms r;
+        committed = W.Stats.committed r.W.Driver.stats;
+        aborted = W.Stats.aborted r.W.Driver.stats;
+        ro_txns;
+      })
 
 let print label (r : row) =
   Printf.printf
@@ -80,11 +52,18 @@ let print label (r : row) =
      aborted   %6d via ro fast path\n%!"
     label r.tps r.mean_ms r.p99_ms r.committed r.aborted r.ro_txns
 
-let json_row b ~mix ~mode (r : row) =
-  Printf.bprintf b
-    "    { \"mix\": %S, \"cc\": %S, \"tps\": %.1f, \"mean_ms\": %.3f, \
-     \"p99_ms\": %.3f, \"committed\": %d, \"aborted\": %d, \"ro_txns\": %d }"
-    mix mode r.tps r.mean_ms r.p99_ms r.committed r.aborted r.ro_txns
+let json_row ~mix ~mode (r : row) =
+  Common.Obj
+    [
+      ("mix", Str mix);
+      ("cc", Str mode);
+      ("tps", Fixed (1, r.tps));
+      ("mean_ms", Fixed (3, r.mean_ms));
+      ("p99_ms", Fixed (3, r.p99_ms));
+      ("committed", Int r.committed);
+      ("aborted", Int r.aborted);
+      ("ro_txns", Int r.ro_txns);
+    ]
 
 let run () =
   Common.section "Concurrency-control ablation: 2PL vs OCC + read-only fast path";
@@ -111,21 +90,12 @@ let run () =
         (mix, rows))
       mixes
   in
-  let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n  \"bench\": \"cc\",\n  \"mode\": %S,\n  \"rows\": [\n"
-    (if !Common.full_mode then "full" else "quick");
-  let first = ref true in
-  List.iter
-    (fun (mix, rows) ->
-      List.iter
-        (fun (mode, r) ->
-          if not !first then Buffer.add_string b ",\n";
-          first := false;
-          json_row b ~mix ~mode r)
-        rows)
-    results;
-  Buffer.add_string b "\n  ]\n}\n";
-  let oc = open_out "BENCH_cc.json" in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "  wrote BENCH_cc.json\n%!"
+  Common.write_bench ~bench:"cc" ~seed:Common.sim_seed
+    [
+      ( "rows",
+        List
+          (List.concat_map
+             (fun (mix, rows) ->
+               List.map (fun (mode, r) -> json_row ~mix ~mode r) rows)
+             results) );
+    ]

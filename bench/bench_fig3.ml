@@ -24,48 +24,21 @@ let systems =
     ("Treaty w/ Stab OCC", Config.treaty_enc_stab, Types.Optimistic);
   ]
 
-let tpcc_result ?(isolation = Types.Pessimistic) sim profile ~tpcc_cfg ~clients =
-  let config = { (Common.base_config profile) with Config.isolation } in
-  let nodes = config.Config.nodes in
-  let route = W.Tpcc.route tpcc_cfg ~nodes in
-  let cluster = Common.make_cluster sim config ~route () in
-  let loader = Client.connect_exn cluster ~client_id:900 in
-  W.Tpcc.load tpcc_cfg loader (Treaty_sim.Rng.create 11L);
-  Client.disconnect loader;
-  let warehouses = tpcc_cfg.W.Tpcc.warehouses in
-  let r =
-    W.Driver.run_clients cluster ~clients ~duration_ns:(Common.duration_ns ())
-      ~warmup_ns:(Common.warmup_ns ())
-      ~txn:(fun client ~client_index rng ->
-        let home = 1 + (client_index mod warehouses) in
-        W.Tpcc.run tpcc_cfg client rng ~nodes ~home (W.Tpcc.pick_kind rng))
-      ()
-  in
-  Cluster.shutdown cluster;
-  r
-
-let run_warehouses ~label ~tpcc_cfg ~clients =
+let run_warehouses ~label ~tpcc ~clients =
   Common.subsection label;
-  let results =
-    List.map
-      (fun (name, profile, isolation) ->
-        let r = ref None in
-        Common.run_sim (fun sim ->
-            r := Some (tpcc_result ~isolation sim profile ~tpcc_cfg ~clients));
-        (name, Option.get !r))
-      systems
-  in
-  let baseline = W.Driver.tps (snd (List.hd results)) in
-  List.iter
-    (fun (name, r) ->
-      Common.print_row ~label:name ~tps:(W.Driver.tps r) ~baseline_tps:baseline
-        ~mean_ms:(W.Driver.mean_ms r) ~p99:(W.Driver.p99_ms r))
-    results
+  Common.print_table
+    (List.map
+       (fun (name, profile, isolation) ->
+         ( name,
+           Common.run_sim (fun sim ->
+               Common.tpcc_run ~isolation sim profile ~tpcc ~seed:11L ~clients)
+         ))
+       systems)
 
 let run () =
   Common.section "Figure 3: distributed transactions, TPC-C";
   run_warehouses ~label:"10 warehouses (high contention)"
-    ~tpcc_cfg:(W.Tpcc.config ~warehouses:10 ())
+    ~tpcc:(W.Tpcc.config ~warehouses:10 ())
     ~clients:(if !Common.full_mode then 16 else 12);
   Common.expected "Treaty 8x-11x slower than DS-RocksDB (~780 tps)";
   let big =
@@ -74,6 +47,6 @@ let run () =
        warehouse count. *)
     { c with W.Tpcc.items = 100; customers_per_district = 20 }
   in
-  run_warehouses ~label:"100 warehouses (low contention)" ~tpcc_cfg:big
+  run_warehouses ~label:"100 warehouses (low contention)" ~tpcc:big
     ~clients:(if !Common.full_mode then 84 else 48);
   Common.expected "overheads drop to 4x-6x (DS-RocksDB ~1200 tps)"

@@ -19,6 +19,20 @@ let profiles =
     ("Secure w/ Enc", { secure with Config.encryption = true });
   ]
 
+(* The protocol alone: an in-memory engine with no group commit and no
+   commit-stability waits. *)
+let no_storage c =
+  {
+    c with
+    Config.engine =
+      {
+        c.Config.engine with
+        Treaty_storage.Engine.in_memory = true;
+        group_commit = false;
+        wait_commit_stable = false;
+      };
+  }
+
 let run () =
   Common.section "Figure 4: 2PC protocol in isolation (no storage)";
   (* Wide keyspace: the protocol benchmark must be CPU-bound, not
@@ -27,29 +41,13 @@ let run () =
   let clients = if !Common.full_mode then 300 else 120 in
   Printf.printf "  YCSB 50R/50W, %d ops/tx, %dB values, %d clients, 3 nodes\n%!"
     ycsb.W.Ycsb.ops_per_txn ycsb.W.Ycsb.value_size clients;
-  let results =
-    List.map
-      (fun (label, profile) ->
-        let r = ref None in
-        Common.run_sim (fun sim ->
-            r :=
-              Some
-                (Common.ycsb_result sim profile ~ycsb ~clients
-                   ~engine_overrides:(fun e ->
-                     {
-                       e with
-                       Treaty_storage.Engine.in_memory = true;
-                       group_commit = false;
-                       wait_commit_stable = false;
-                     })));
-        (label, Option.get !r))
-      profiles
-  in
-  let baseline = W.Driver.tps (snd (List.hd results)) in
-  List.iter
-    (fun (label, r) ->
-      Common.print_row ~label ~tps:(W.Driver.tps r) ~baseline_tps:baseline
-        ~mean_ms:(W.Driver.mean_ms r) ~p99:(W.Driver.p99_ms r))
-    results;
+  Common.print_table
+    (List.map
+       (fun (label, profile) ->
+         ( label,
+           Common.run_sim (fun sim ->
+               snd (Common.ycsb_run sim profile ~ycsb ~clients ~config:no_storage))
+         ))
+       profiles);
   Common.expected
     "Native w/ Enc ~1.0-1.1x, Secure w/o Enc ~1.8x, Secure w/ Enc ~2.0x"

@@ -24,24 +24,13 @@ let run_mix ~label ~read_fraction =
   Common.subsection label;
   let ycsb = { W.Ycsb.default with W.Ycsb.read_fraction } in
   let clients = if !Common.full_mode then 96 else 64 in
-  let results =
-    List.map
-      (fun (name, profile, isolation) ->
-        let r = ref None in
-        Common.run_sim (fun sim ->
-            r :=
-              Some
-                (Common.ycsb_result ~isolation sim profile ~ycsb ~clients
-                   ~engine_overrides:Common.id_engine));
-        (name, Option.get !r))
-      systems
-  in
-  let baseline = W.Driver.tps (snd (List.hd results)) in
-  List.iter
-    (fun (name, r) ->
-      Common.print_row ~label:name ~tps:(W.Driver.tps r) ~baseline_tps:baseline
-        ~mean_ms:(W.Driver.mean_ms r) ~p99:(W.Driver.p99_ms r))
-    results
+  Common.print_table
+    (List.map
+       (fun (name, profile, isolation) ->
+         ( name,
+           Common.run_sim (fun sim ->
+               snd (Common.ycsb_run ~isolation sim profile ~ycsb ~clients)) ))
+       systems)
 
 let run () =
   Common.section "Figure 5: distributed transactions, YCSB";

@@ -24,59 +24,30 @@ let systems =
     ("Treaty w/ Enc w/ Stab", Config.treaty_enc_stab);
   ]
 
-let single_node_config profile ~isolation =
-  let c = Common.base_config profile in
-  { c with Config.nodes = 1; isolation }
+let single_node c = { c with Config.nodes = 1 }
 
+(* Single-node runs execute every transaction through the read-write path:
+   no read-only fast path under OCC either. *)
 let ycsb_single sim profile ~isolation ~read_fraction ~clients =
-  let config = single_node_config profile ~isolation in
-  let cluster = Common.make_cluster sim config () in
   let ycsb = { W.Ycsb.default with W.Ycsb.read_fraction } in
-  Common.load_ycsb cluster ycsb;
-  let r =
-    W.Driver.run_clients cluster ~clients ~duration_ns:(Common.duration_ns ())
-      ~warmup_ns:(Common.warmup_ns ()) ~txn:(Common.ycsb_txn ycsb) ()
-  in
-  Cluster.shutdown cluster;
-  r
+  snd
+    (Common.ycsb_run ~isolation ~ro_fast_path:false ~config:single_node sim
+       profile ~ycsb ~clients)
 
 let tpcc_single sim profile ~isolation ~clients =
-  let config = single_node_config profile ~isolation in
-  let tpcc_cfg = W.Tpcc.config ~warehouses:10 () in
-  let cluster = Common.make_cluster sim config () in
-  let loader = Client.connect_exn cluster ~client_id:900 in
-  W.Tpcc.load tpcc_cfg loader (Treaty_sim.Rng.create 13L);
-  Client.disconnect loader;
-  let r =
-    W.Driver.run_clients cluster ~clients ~duration_ns:(Common.duration_ns ())
-      ~warmup_ns:(Common.warmup_ns ())
-      ~txn:(fun client ~client_index rng ->
-        let home = 1 + (client_index mod tpcc_cfg.W.Tpcc.warehouses) in
-        W.Tpcc.run tpcc_cfg client rng ~nodes:1 ~home (W.Tpcc.pick_kind rng))
-      ()
-  in
-  Cluster.shutdown cluster;
-  r
+  Common.tpcc_run ~isolation ~config:single_node sim profile
+    ~tpcc:(W.Tpcc.config ~warehouses:10 ())
+    ~seed:13L ~clients
 
 let run_table ~isolation ~workloads =
   List.iter
     (fun (wl_label, runner) ->
       Common.subsection wl_label;
-      let results =
-        List.map
-          (fun (name, profile) ->
-            let r = ref None in
-            Common.run_sim (fun sim -> r := Some (runner sim profile ~isolation));
-            (name, Option.get !r))
-          systems
-      in
-      let baseline = W.Driver.tps (snd (List.hd results)) in
-      List.iter
-        (fun (name, r) ->
-          Common.print_row ~label:name ~tps:(W.Driver.tps r)
-            ~baseline_tps:baseline ~mean_ms:(W.Driver.mean_ms r)
-            ~p99:(W.Driver.p99_ms r))
-        results)
+      Common.print_table
+        (List.map
+           (fun (name, profile) ->
+             (name, Common.run_sim (fun sim -> runner sim profile ~isolation)))
+           systems))
     workloads
 
 let workloads () =

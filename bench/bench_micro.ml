@@ -103,6 +103,9 @@ let tests =
         (Staged.stage (fun () -> Treaty_storage.Clog_record.decode clog_batch_wire));
     ]
 
+(* Seed of the simulation behind the crypto-cost row. *)
+let crypto_seed = 0xCAFE01L
+
 (* Simulated AEAD cost per completed RPC for burst-sealed packets: an eRPC
    pair under the commit pipeline's message shape — 32 concurrent
    closed-loop callers, ~100 B requests, 1 KiB responses, the default 5 µs
@@ -115,9 +118,7 @@ let crypto_ns_per_call () =
   let module Sim = Treaty_sim.Sim in
   let module Erpc = Treaty_rpc.Erpc in
   let module Enclave = Treaty_tee.Enclave in
-  let sim = Sim.create ~seed:0xCAFE01L () in
-  let result = ref (0., 0.) in
-  Sim.run sim (fun () ->
+  Common.run_sim ~seed:crypto_seed (fun sim ->
       let cost = Treaty_sim.Costmodel.default in
       let net = Treaty_netsim.Net.create sim cost in
       let key = Crypto.Aead.key_of_string "micro-net" in
@@ -162,10 +163,8 @@ let crypto_ns_per_call () =
       let sa = Erpc.stats a and sb = Erpc.stats b in
       let pkts = sa.Erpc.bursts_sent + sb.Erpc.bursts_sent in
       let msgs = sa.Erpc.burst_msgs + sb.Erpc.burst_msgs in
-      result :=
-        ( float_of_int crypto /. float_of_int calls,
-          if pkts = 0 then 0. else float_of_int msgs /. float_of_int pkts ));
-  !result
+      ( float_of_int crypto /. float_of_int calls,
+        if pkts = 0 then 0. else float_of_int msgs /. float_of_int pkts ))
 
 (* The per-message-sealing baseline the burst envelope is gated against:
    every message pays its own AEAD over its own sealed wire, once when the
@@ -174,11 +173,8 @@ let crypto_ns_per_call () =
    twice on a SCONE enclave — the figure the retired per-message (v1)
    envelope measured on the same pair (1670.0 ns/call at commit 5c0dd1b). *)
 let per_message_crypto_ns_per_call () =
-  let module Sim = Treaty_sim.Sim in
   let module Enclave = Treaty_tee.Enclave in
-  let sim = Sim.create () in
-  let ns = ref 0 in
-  Sim.run sim (fun () ->
+  Common.run_sim (fun sim ->
       let e =
         Enclave.create sim ~mode:Enclave.Scone
           ~cost:Treaty_sim.Costmodel.default ~cores:8 ~node_id:1
@@ -193,8 +189,7 @@ let per_message_crypto_ns_per_call () =
           Enclave.charge_crypto e ~bytes (* seal on send *);
           Enclave.charge_crypto e ~bytes (* open on receive *))
         [ 100; 1024 ];
-      ns := (Enclave.stats e).Enclave.crypto_ns);
-  float_of_int !ns
+      float_of_int (Enclave.stats e).Enclave.crypto_ns)
 
 (* Event-loop cost under the simulator's hot timer profile: every RPC arms
    a ~50 ms timeout it almost always cancels (the call completed), while
@@ -266,11 +261,12 @@ let run_event_loop () =
     "  event loop ns/op (RPC-timeout profile, %d ops): timer wheel %.1f, \
      seed heap %.1f — %.2fx\n%!"
     (timer_iters * 4) wheel seed speedup;
-  Common.pipeline_json_set ~key:"event_loop"
-    (Printf.sprintf
-       "{ \"seed_ns_per_event\": %.1f, \"wheel_ns_per_event\": %.1f, \
-        \"speedup\": %.2f }"
-       seed wheel speedup)
+  Common.Obj
+    [
+      ("seed_ns_per_event", Fixed (1, seed));
+      ("wheel_ns_per_event", Fixed (1, wheel));
+      ("speedup", Fixed (2, speedup));
+    ]
 
 let run_crypto_per_txn () =
   let batched_ns, batched_mpp = crypto_ns_per_call () in
@@ -280,11 +276,17 @@ let run_crypto_per_txn () =
     "  AEAD ns/call (32 callers, 100B req / 1KiB resp): burst-sealed %.0f \
      (%.2f msgs/pkt), per-message %.0f — %.1f%% less\n%!"
     batched_ns batched_mpp per_message_ns reduction;
-  Common.pipeline_json_set ~key:"micro"
-    (Printf.sprintf
-       "{ \"crypto_ns_per_txn\": { \"batched\": %.1f, \"no_batch_crypto\": \
-        %.1f, \"reduction_pct\": %.1f, \"batched_msgs_per_packet\": %.2f } }"
-       batched_ns per_message_ns reduction batched_mpp)
+  Common.Obj
+    [
+      ( "crypto_ns_per_txn",
+        Obj
+          [
+            ("batched", Fixed (1, batched_ns));
+            ("no_batch_crypto", Fixed (1, per_message_ns));
+            ("reduction_pct", Fixed (1, reduction));
+            ("batched_msgs_per_packet", Fixed (2, batched_mpp));
+          ] );
+    ]
 
 let run () =
   Common.section "Micro-benchmarks (Bechamel, wall-clock)";
@@ -305,5 +307,7 @@ let run () =
             | _ -> ())
           tbl)
     results;
-  run_crypto_per_txn ();
-  run_event_loop ()
+  let micro = run_crypto_per_txn () in
+  let event_loop = run_event_loop () in
+  Common.write_bench ~bench:"commit_pipeline" ~seed:crypto_seed
+    [ ("event_loop", event_loop); ("micro", micro) ]

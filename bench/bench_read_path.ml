@@ -41,10 +41,10 @@ let engine_cfg =
     block_cache_bytes = 2 * 1024 * 1024;
   }
 
+let seed = 0x5EAD_BE7CL
+
 let run_one () =
-  let out = ref None in
-  let sim = Sim.create ~seed:0x5EAD_BE7CL () in
-  Sim.run sim (fun () ->
+  Common.run_sim ~seed (fun sim ->
       let enclave =
         Enclave.create sim ~mode:Enclave.Scone
           ~cost:Treaty_sim.Costmodel.default ~cores:4 ~node_id:1
@@ -85,19 +85,16 @@ let run_one () =
       done;
       let dt = Sim.now sim - t0 in
       let s = Engine.stats eng in
-      out :=
-        Some
-          {
-            tps = float_of_int reads /. (float_of_int dt /. 1e9);
-            reads;
-            sim_ms = float_of_int dt /. 1e6;
-            block_reads = s.Engine.sst_block_reads - base_blocks;
-            cache_hits = s.Engine.cache_hits;
-            cache_misses = s.Engine.cache_misses;
-            bloom_neg = s.Engine.bloom_negatives;
-            bloom_fp = s.Engine.bloom_false_positives;
-          });
-  Option.get !out
+      {
+        tps = float_of_int reads /. (float_of_int dt /. 1e9);
+        reads;
+        sim_ms = float_of_int dt /. 1e6;
+        block_reads = s.Engine.sst_block_reads - base_blocks;
+        cache_hits = s.Engine.cache_hits;
+        cache_misses = s.Engine.cache_misses;
+        bloom_neg = s.Engine.bloom_negatives;
+        bloom_fp = s.Engine.bloom_false_positives;
+      })
 
 let print label (r : row) =
   Printf.printf
@@ -106,31 +103,28 @@ let print label (r : row) =
     label r.tps r.sim_ms r.block_reads r.cache_hits r.cache_misses r.bloom_neg
     r.bloom_fp
 
-let json_row b name (r : row) =
-  Printf.bprintf b
-    "    { \"name\": %S, \"reads_per_sec\": %.1f, \"reads\": %d, \
-     \"sim_ms\": %.2f, \"sst_block_reads\": %d, \"cache_hits\": %d, \
-     \"cache_misses\": %d, \"bloom_negatives\": %d, \
-     \"bloom_false_positives\": %d }"
-    name r.tps r.reads r.sim_ms r.block_reads r.cache_hits r.cache_misses
-    r.bloom_neg r.bloom_fp
-
-let write_json r =
-  let b = Buffer.create 512 in
-  Printf.bprintf b "{\n  \"bench\": \"read_path\",\n  \"mode\": %S,\n"
-    (if !Common.full_mode then "full" else "quick");
-  Buffer.add_string b "  \"configs\": [\n";
-  json_row b "shipped" r;
-  Buffer.add_string b "\n  ]\n}\n";
-  let oc = open_out "BENCH_read_path.json" in
-  output_string oc (Buffer.contents b);
-  close_out oc
-
 let run () =
   Common.section "Authenticated read path: Bloom filters + verified block cache";
   Printf.printf "  %d keys, %d point reads (50%% hot-set hits, 50%% absent)\n%!"
     (n_keys ()) (n_reads ());
   let r = run_one () in
   print "read path" r;
-  write_json r;
-  Printf.printf "  wrote BENCH_read_path.json\n%!"
+  Common.write_bench ~bench:"read_path" ~seed
+    [
+      ( "configs",
+        List
+          [
+            Obj
+              [
+                ("name", Str "shipped");
+                ("reads_per_sec", Fixed (1, r.tps));
+                ("reads", Int r.reads);
+                ("sim_ms", Fixed (2, r.sim_ms));
+                ("sst_block_reads", Int r.block_reads);
+                ("cache_hits", Int r.cache_hits);
+                ("cache_misses", Int r.cache_misses);
+                ("bloom_negatives", Int r.bloom_neg);
+                ("bloom_false_positives", Int r.bloom_fp);
+              ];
+          ] );
+    ]

@@ -36,59 +36,50 @@ let run () =
       value_size = 100;
     }
   in
-  let committed = ref 0 and aborted = ref 0 in
-  let events = ref 0 and sim_ns = ref 0 in
-  let alloc_per_txn = ref 0. in
   let t0 = Unix.gettimeofday () in
-  Common.run_sim (fun sim ->
-      let config =
-        { (Common.base_config Config.treaty_enc_stab) with Config.nodes }
-      in
-      let cluster = Common.make_cluster sim config () in
-      let a0 = Gc.allocated_bytes () in
-      let r =
-        W.Driver.run_clients cluster ~clients ~duration_ns ~warmup_ns
-          ~txn:(Common.ycsb_txn ycsb) ()
-      in
-      let a1 = Gc.allocated_bytes () in
-      Cluster.shutdown cluster;
-      committed := W.Stats.committed r.W.Driver.stats;
-      aborted := W.Stats.aborted r.W.Driver.stats;
-      events := Sim.events_fired sim;
-      sim_ns := Sim.now sim;
-      alloc_per_txn :=
-        if !committed > 0 then (a1 -. a0) /. float_of_int !committed else 0.);
+  let r, events, sim_ns, alloc_bytes =
+    Common.run_sim (fun sim ->
+        let config =
+          { (Common.base_config Config.treaty_enc_stab) with Config.nodes }
+        in
+        let cluster = Common.make_cluster sim config () in
+        let a0 = Gc.allocated_bytes () in
+        let r =
+          W.Driver.run_clients cluster ~clients ~duration_ns ~warmup_ns
+            ~txn:(W.Ycsb.txn ycsb) ()
+        in
+        let a1 = Gc.allocated_bytes () in
+        Cluster.shutdown cluster;
+        (r, Sim.events_fired sim, Sim.now sim, a1 -. a0))
+  in
   let wall = Unix.gettimeofday () -. t0 in
-  let events_per_sec = float_of_int !events /. wall in
-  let ns_per_event = wall *. 1e9 /. float_of_int !events in
+  let committed = W.Stats.committed r.W.Driver.stats in
+  let aborted = W.Stats.aborted r.W.Driver.stats in
+  let alloc_per_txn =
+    if committed > 0 then alloc_bytes /. float_of_int committed else 0.
+  in
+  let events_per_sec = float_of_int events /. wall in
+  let ns_per_event = wall *. 1e9 /. float_of_int events in
+  let sim_seconds = float_of_int sim_ns /. 1e9 in
   Printf.printf
     "  %d nodes, %d clients, %d keys: %d committed / %d aborted in %.2fs \
      sim\n%!"
-    nodes clients n_keys !committed !aborted
-    (float_of_int !sim_ns /. 1e9);
+    nodes clients n_keys committed aborted sim_seconds;
   Printf.printf
     "  engine: %d events, %.0f events/s wall, %.0f ns/event, %.0f alloc \
      B/txn, %.1fs wall\n%!"
-    !events events_per_sec ns_per_event !alloc_per_txn wall;
-  let oc = open_out "BENCH_scale.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"scale\",\n\
-    \  \"mode\": %S,\n\
-    \  \"nodes\": %d,\n\
-    \  \"keys\": %d,\n\
-    \  \"clients\": %d,\n\
-    \  \"committed\": %d,\n\
-    \  \"aborted\": %d,\n\
-    \  \"sim_seconds\": %.3f,\n\
-    \  \"events_fired\": %d,\n\
-    \  \"events_per_sec_wall\": %.0f,\n\
-    \  \"ns_per_event_wall\": %.1f,\n\
-    \  \"alloc_bytes_per_txn\": %.0f,\n\
-    \  \"wall_seconds\": %.2f\n\
-     }\n"
-    (if !Common.full_mode then "full" else "quick")
-    nodes n_keys clients !committed !aborted
-    (float_of_int !sim_ns /. 1e9)
-    !events events_per_sec ns_per_event !alloc_per_txn wall;
-  close_out oc
+    events events_per_sec ns_per_event alloc_per_txn wall;
+  Common.write_bench ~bench:"scale" ~seed:Common.sim_seed
+    [
+      ("nodes", Int nodes);
+      ("keys", Int n_keys);
+      ("clients", Int clients);
+      ("committed", Int committed);
+      ("aborted", Int aborted);
+      ("sim_seconds", Fixed (3, sim_seconds));
+      ("events_fired", Int events);
+      ("events_per_sec_wall", Fixed (0, events_per_sec));
+      ("ns_per_event_wall", Fixed (1, ns_per_event));
+      ("alloc_bytes_per_txn", Fixed (0, alloc_per_txn));
+      ("wall_seconds", Fixed (2, wall));
+    ]

@@ -17,9 +17,17 @@ let section title =
 
 let subsection title = Printf.printf "\n--- %s ---\n%!" title
 
-let run_sim f =
-  let sim = Sim.create ~seed:0xBE7CBE7CL () in
-  Sim.run sim (fun () -> f sim)
+(* Seed of every cluster simulation the figure benches run. *)
+let sim_seed = 0xBE7CBE7CL
+
+(* Run [f] as the main fiber of a fresh simulation and return its result. *)
+let run_sim ?(seed = sim_seed) f =
+  let sim = Sim.create ~seed () in
+  let result = Sim.ivar () in
+  Sim.run sim (fun () -> Sim.fill result (f sim));
+  match Treaty_sched.Scheduler.Ivar.peek result with
+  | Some r -> r
+  | None -> failwith "bench: the simulation ended before its main fiber"
 
 let cores () = if !full_mode then 8 else 2
 
@@ -34,99 +42,110 @@ let make_cluster sim config ?route () =
   | Ok c -> c
   | Error m -> failwith ("cluster bootstrap failed: " ^ m)
 
-(* Pre-load the YCSB key space through a loader client. *)
-let load_ycsb cluster (cfg : W.Ycsb.config) =
-  let loader = Client.connect_exn cluster ~client_id:900 in
-  let rng = Treaty_sim.Rng.create 7L in
-  let keys = W.Ycsb.load_keys cfg in
-  let rec chunks = function
-    | [] -> ()
-    | l ->
-        let batch, rest =
-          let rec take n acc = function
-            | x :: tl when n > 0 -> take (n - 1) (x :: acc) tl
-            | tl -> (List.rev acc, tl)
-          in
-          take 100 [] l
-        in
-        (match
-           Client.with_txn loader (fun txn ->
-               List.iter
-                 (fun k ->
-                   match Client.put loader txn k (W.Ycsb.make_value cfg rng) with
-                   | Ok () -> ()
-                   | Error e ->
-                       failwith ("ycsb load: " ^ Types.abort_reason_to_string e))
-                 batch;
-               Ok ())
-         with
-        | Ok () -> ()
-        | Error e -> failwith ("ycsb load: " ^ Types.abort_reason_to_string e));
-        chunks rest
-  in
-  chunks keys;
-  Client.disconnect loader
-
-let ycsb_txn ?(ro_fast_path = false) cfg =
-  let generators = Hashtbl.create 16 in
-  fun client ~client_index rng ->
-    let g =
-      match Hashtbl.find_opt generators client_index with
-      | Some g -> g
-      | None ->
-          let g = W.Ycsb.generator cfg rng in
-          Hashtbl.replace generators client_index g;
-          g
-    in
-    W.Ycsb.run_txn ~ro_fast_path client None (W.Ycsb.next_txn g)
-
 (* Run one YCSB configuration on a fresh cluster with the given profile.
    [isolation] selects the concurrency-control mode; under OCC all-read
    transactions are declared read-only and take the snapshot fast path, as
-   the CLI does. *)
-let ycsb_result ?(isolation = Types.Pessimistic) sim profile ~ycsb ~clients
-    ~engine_overrides =
-  let config = { (base_config profile) with Config.isolation } in
-  let config = { config with Config.engine = engine_overrides config.Config.engine } in
+   the CLI does, unless [ro_fast_path] says otherwise. [config] adjusts the
+   cluster configuration last. Returns the shut-down cluster (its node
+   stats stay readable) with the driver result. *)
+let ycsb_run ?(isolation = Types.Pessimistic)
+    ?(ro_fast_path = isolation = Types.Optimistic) ?(config = Fun.id) sim
+    profile ~ycsb ~clients =
+  let config = config { (base_config profile) with Config.isolation } in
   let cluster = make_cluster sim config () in
-  load_ycsb cluster ycsb;
-  let ro_fast_path = isolation = Types.Optimistic in
+  W.Driver.load cluster ~seed:7L (W.Ycsb.load ycsb);
   let r =
     W.Driver.run_clients cluster ~clients ~duration_ns:(duration_ns ())
-      ~warmup_ns:(warmup_ns ()) ~txn:(ycsb_txn ~ro_fast_path ycsb) ()
+      ~warmup_ns:(warmup_ns ()) ~txn:(W.Ycsb.txn ~ro_fast_path ycsb) ()
+  in
+  Cluster.shutdown cluster;
+  (cluster, r)
+
+(* Run TPC-C on a fresh cluster sharded by warehouse, configured as
+   {!ycsb_run} does; [seed] seeds the loader's RNG. *)
+let tpcc_run ?(isolation = Types.Pessimistic) ?(config = Fun.id) sim profile
+    ~tpcc ~seed ~clients =
+  let config = config { (base_config profile) with Config.isolation } in
+  let nodes = config.Config.nodes in
+  let cluster = make_cluster sim config ~route:(W.Tpcc.route tpcc ~nodes) () in
+  W.Driver.load cluster ~seed (W.Tpcc.load tpcc);
+  let r =
+    W.Driver.run_clients cluster ~clients ~duration_ns:(duration_ns ())
+      ~warmup_ns:(warmup_ns ()) ~txn:(W.Tpcc.txn tpcc ~nodes) ()
   in
   Cluster.shutdown cluster;
   r
 
-(* BENCH_commit_pipeline.json is fed by two benches — fig4's pipeline rows
-   and micro's crypto-cost section — which can run in either order or alone
-   (the CI smoke runs fig4 before micro). Each contributes a named top-level
-   section; the file is rewritten with everything contributed so far, so
-   whichever bench finishes last leaves the merged document behind. *)
-let pipeline_sections : (string * string) list ref = ref []
+(* --- BENCH_*.json --------------------------------------------------------- *)
 
-let pipeline_json_set ~key fragment =
-  pipeline_sections :=
-    (key, fragment) :: List.remove_assoc key !pipeline_sections;
+type json =
+  | Int of int
+  | Fixed of int * float  (** decimals, value *)
+  | Str of string
+  | List of json list
+  | Obj of (string * json) list
+
+(* Objects nested in a list or another object print on one line; the
+   top-level object and lists print one element per line. *)
+let rec json_to_buffer b ~indent = function
+  | Int n -> Buffer.add_string b (string_of_int n)
+  | Fixed (d, x) -> Printf.bprintf b "%.*f" d x
+  | Str s -> Printf.bprintf b "%S" s
+  | List items ->
+      let pad = String.make (indent + 2) ' ' in
+      Buffer.add_string b "[\n";
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string b ",\n";
+          Buffer.add_string b pad;
+          json_to_buffer b ~indent:(indent + 2) v)
+        items;
+      Printf.bprintf b "\n%s]" (String.make indent ' ')
+  | Obj fields ->
+      Buffer.add_string b "{ ";
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_string b ", ";
+          Printf.bprintf b "%S: " k;
+          json_to_buffer b ~indent v)
+        fields;
+      Buffer.add_string b " }"
+
+(* Write BENCH_<bench>.json: the bench name, the mode, the seed of the
+   simulation the rows come from, then [fields]. *)
+let write_bench ~bench ~seed fields =
+  let fields =
+    ("bench", Str bench)
+    :: ("mode", Str (if !full_mode then "full" else "quick"))
+    :: ("seed", Int (Int64.to_int seed))
+    :: fields
+  in
   let b = Buffer.create 1024 in
-  Printf.bprintf b "{\n  \"bench\": \"commit_pipeline\",\n  \"mode\": %S"
-    (if !full_mode then "full" else "quick");
-  List.iter
-    (fun (k, v) -> Printf.bprintf b ",\n  %S: %s" k v)
-    (List.sort compare !pipeline_sections);
+  Buffer.add_string b "{\n";
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_string b ",\n";
+      Printf.bprintf b "  %S: " k;
+      json_to_buffer b ~indent:2 v)
+    fields;
   Buffer.add_string b "\n}\n";
-  let oc = open_out "BENCH_commit_pipeline.json" in
+  let file = Printf.sprintf "BENCH_%s.json" bench in
+  let oc = open_out file in
   output_string oc (Buffer.contents b);
-  close_out oc
+  close_out oc;
+  Printf.printf "  wrote %s\n%!" file
 
-let id_engine e = e
-
-let pct x = x *. 100.0
-
-let print_row ~label ~tps ~baseline_tps ~mean_ms ~p99 =
-  Printf.printf "  %-24s %10.1f tps   slowdown %5.2fx   lat %6.2f ms (p99 %7.2f)\n%!"
-    label tps
-    (if tps > 0.0 then baseline_tps /. tps else nan)
-    mean_ms p99
+(* One row per system, with its slowdown relative to the first row. *)
+let print_table results =
+  let baseline_tps = W.Driver.tps (snd (List.hd results)) in
+  List.iter
+    (fun (label, r) ->
+      let tps = W.Driver.tps r in
+      Printf.printf
+        "  %-24s %10.1f tps   slowdown %5.2fx   lat %6.2f ms (p99 %7.2f)\n%!"
+        label tps
+        (if tps > 0.0 then baseline_tps /. tps else nan)
+        (W.Driver.mean_ms r) (W.Driver.p99_ms r))
+    results
 
 let expected fmt = Printf.printf ("  paper:    " ^^ fmt ^^ "\n%!")

@@ -75,78 +75,31 @@ let run_cmd profile cc sanitize nodes workload clients duration_ms warehouses
         | Types.Pessimistic -> "2pl"
         | Types.Optimistic -> "occ")
         nodes clients workload duration_ms;
-      match workload with
-      | "ycsb" ->
-          let cluster = bootstrap sim config () in
-          let ycsb =
-            { W.Ycsb.default with W.Ycsb.read_fraction = float_of_int read_pct /. 100.0 }
-          in
-          let loader = Client.connect_exn cluster ~client_id:900 in
-          let rng = Treaty_sim.Rng.create 7L in
-          List.iteri
-            (fun i batch_start ->
-              ignore i;
-              ignore
-                (Client.with_txn loader (fun txn ->
-                     let rec go j =
-                       if j >= batch_start + 100 || j >= ycsb.W.Ycsb.n_keys then Ok ()
-                       else
-                         match
-                           Client.put loader txn (W.Ycsb.key_of_index j)
-                             (W.Ycsb.make_value ycsb rng)
-                         with
-                         | Ok () -> go (j + 1)
-                         | Error e -> Error e
-                     in
-                     go batch_start)))
-            (List.init ((ycsb.W.Ycsb.n_keys + 99) / 100) (fun i -> i * 100));
-          Client.disconnect loader;
-          let gens = Hashtbl.create 16 in
-          let r =
-            W.Driver.run_clients cluster ~clients
-              ~duration_ns:(duration_ms * 1_000_000)
-              ~txn:(fun client ~client_index rng ->
-                let g =
-                  match Hashtbl.find_opt gens client_index with
-                  | Some g -> g
-                  | None ->
-                      let g = W.Ycsb.generator ycsb rng in
-                      Hashtbl.replace gens client_index g;
-                      g
-                in
-                (* Under OCC the client declares all-read transactions
-                   read-only so they take the zero-RPC snapshot path. *)
-                W.Ycsb.run_txn
-                  ~ro_fast_path:(cc = Types.Optimistic)
-                  client None (W.Ycsb.next_txn g))
-              ()
-          in
-          Printf.printf "%s\n" (W.Stats.summary r.W.Driver.stats ~duration_ns:r.W.Driver.duration_ns);
-          report_obs ~trace_file ~metrics cluster;
-          report_sanitizer cluster;
-          Cluster.shutdown cluster
-      | "tpcc" ->
-          let tpcc = W.Tpcc.config ~warehouses () in
-          let route = W.Tpcc.route tpcc ~nodes in
-          let cluster = bootstrap sim config ~route () in
-          let loader = Client.connect_exn cluster ~client_id:900 in
-          W.Tpcc.load tpcc loader (Treaty_sim.Rng.create 7L);
-          Client.disconnect loader;
-          let r =
-            W.Driver.run_clients cluster ~clients
-              ~duration_ns:(duration_ms * 1_000_000)
-              ~txn:(fun client ~client_index rng ->
-                let home = 1 + (client_index mod warehouses) in
-                W.Tpcc.run tpcc client rng ~nodes ~home (W.Tpcc.pick_kind rng))
-              ()
-          in
-          Printf.printf "%s\n" (W.Stats.summary r.W.Driver.stats ~duration_ns:r.W.Driver.duration_ns);
-          report_obs ~trace_file ~metrics cluster;
-          report_sanitizer cluster;
-          Cluster.shutdown cluster
-      | other ->
-          Printf.eprintf "unknown workload %S (ycsb | tpcc)\n" other;
-          exit 1)
+      let route, populate, txn =
+        match workload with
+        | "ycsb" ->
+            let ycsb =
+              { W.Ycsb.default with W.Ycsb.read_fraction = float_of_int read_pct /. 100.0 }
+            in
+            (* Under OCC the client declares all-read transactions read-only
+               so they take the zero-RPC snapshot path. *)
+            (None, W.Ycsb.load ycsb, W.Ycsb.txn ~ro_fast_path:(cc = Types.Optimistic) ycsb)
+        | "tpcc" ->
+            let tpcc = W.Tpcc.config ~warehouses () in
+            (Some (W.Tpcc.route tpcc ~nodes), W.Tpcc.load tpcc, W.Tpcc.txn tpcc ~nodes)
+        | other ->
+            Printf.eprintf "unknown workload %S (ycsb | tpcc)\n" other;
+            exit 1
+      in
+      let cluster = bootstrap sim config ?route () in
+      W.Driver.load cluster ~seed:7L populate;
+      let r =
+        W.Driver.run_clients cluster ~clients ~duration_ns:(duration_ms * 1_000_000) ~txn ()
+      in
+      Printf.printf "%s\n" (W.Stats.summary r.W.Driver.stats ~duration_ns:r.W.Driver.duration_ns);
+      report_obs ~trace_file ~metrics cluster;
+      report_sanitizer cluster;
+      Cluster.shutdown cluster)
 
 (* --- attack ------------------------------------------------------------- *)
 

@@ -17,8 +17,10 @@ type t = {
       (* The cluster's shard map: read-only transactions are routed straight
          to the owning node instead of through a 2PC coordinator. *)
   mutable rr : int;
-  op_timeout : int;
 }
+
+(* How long a client waits for a node's reply to one request. *)
+let op_timeout_ns = 400_000_000
 
 type txn = { t_coord : int; t_seq : int }
 
@@ -26,12 +28,28 @@ let client_id t = t.client_id
 let coordinator txn = txn.t_coord
 let tx_seq txn = txn.t_seq
 
+(* Decode the status byte that leads a node reply, with the node's own
+   table. An unknown transaction is gone coordinator-side (already rolled
+   back or aborted, or lost to a restart): a failure, not the application's
+   own rollback. A truncated reply or an unknown code is a failure too. *)
+let reply_status r =
+  match Wire.r8 r with
+  | code -> (
+      match Node.status_of_code code with
+      | Some Node.St_ok -> Ok ()
+      | Some Node.St_lock_timeout ->
+          Error Types.Lock_timeout (* tx auto-aborted coordinator-side *)
+      | Some Node.St_unknown_tx | None -> Error Types.Participant_failed
+      | Some Node.St_conflict -> Error Types.Validation_failed
+      | Some Node.St_unauth -> Error Types.Unauthenticated)
+  | exception Wire.Malformed _ -> Error Types.Participant_failed
+
 let register_with t node =
   let b = Buffer.create 64 in
   Wire.w64 b t.client_id;
   Wire.wstr b t.token;
   match Erpc.call t.rpc ~dst:node ~kind:Node.k_client_register (Buffer.contents b) with
-  | Ok reply -> String.length reply = 1 && reply.[0] = '\000'
+  | Ok reply -> String.length reply = 1 && reply_status (Wire.reader reply) = Ok ()
   | Error (`Timeout | `Tampered) -> false
 
 let connect cluster ~client_id =
@@ -56,7 +74,7 @@ let connect cluster ~client_id =
           ~config:
             {
               (Erpc.default_config ~security) with
-              Erpc.timeout_ns = config.client_op_timeout_ns;
+              Erpc.timeout_ns = op_timeout_ns;
             }
           ~node_id:(1000 + client_id) ~net_config:Net.client_config ()
       in
@@ -69,7 +87,6 @@ let connect cluster ~client_id =
           nodes = Array.of_list (Cluster.node_ids cluster);
           route = (fun key -> Cluster.route_key cluster key);
           rr = client_id;
-          op_timeout = config.client_op_timeout_ns;
         }
       in
       let all_registered = Array.for_all (register_with t) t.nodes in
@@ -96,21 +113,20 @@ let rec begin_attempt t ~retry coord =
   Wire.w64 b t.client_id;
   match
     Erpc.call t.rpc ~dst:coord ~kind:Node.k_client_begin
-      ~timeout_ns:t.op_timeout (Buffer.contents b)
+      ~timeout_ns:op_timeout_ns (Buffer.contents b)
   with
   | Error (`Timeout | `Tampered) -> Error Types.Participant_failed
   | Ok reply -> (
       let r = Wire.reader reply in
-      match Wire.r8 r with
-      | exception Wire.Malformed _ -> Error Types.Participant_failed
-      | 0 -> Ok { t_coord = coord; t_seq = Wire.r64 r }
-      | 3 ->
+      match reply_status r with
+      | Ok () -> Ok { t_coord = coord; t_seq = Wire.r64 r }
+      | Error Types.Unauthenticated ->
           (* A restarted node has an empty client registry: re-register
              (re-presenting the CAS token) and retry once. *)
           if retry && register_with t coord then
             begin_attempt t ~retry:false coord
           else Error Types.Unauthenticated
-      | _ -> Error Types.Participant_failed)
+      | Error _ -> Error Types.Participant_failed)
 
 let begin_txn t ?coord () =
   let coord = Option.value coord ~default:(pick_coord t) in
@@ -133,19 +149,16 @@ let send_op t txn op =
       Wire.wstr b key);
   match
     Erpc.call t.rpc ~dst:txn.t_coord ~kind:Node.k_client_op
-      ~timeout_ns:t.op_timeout (Buffer.contents b)
+      ~timeout_ns:op_timeout_ns (Buffer.contents b)
   with
   | Error (`Timeout | `Tampered) -> Error Types.Participant_failed
   | Ok reply -> (
       let r = Wire.reader reply in
-      match Wire.r8 r with
-      | exception Wire.Malformed _ -> Error Types.Participant_failed
-      | 0 ->
+      match reply_status r with
+      | Ok () ->
           let value = if Wire.r8 r = 1 then Some (Wire.rstr r) else None in
           Ok value
-      | 1 -> Error Types.Lock_timeout (* tx auto-aborted coordinator-side *)
-      | 2 -> Error Types.Rolled_back
-      | _ -> Error Types.Unauthenticated)
+      | Error e -> Error e)
 
 let get t txn key = send_op t txn (`Get key)
 
@@ -157,14 +170,13 @@ let scan t txn ~lo ~hi =
   Wire.wstr b hi;
   match
     Erpc.call t.rpc ~dst:txn.t_coord ~kind:Node.k_client_scan
-      ~timeout_ns:t.op_timeout (Buffer.contents b)
+      ~timeout_ns:op_timeout_ns (Buffer.contents b)
   with
   | Error (`Timeout | `Tampered) -> Error Types.Participant_failed
   | Ok reply -> (
       let r = Wire.reader reply in
-      match Wire.r8 r with
-      | exception Wire.Malformed _ -> Error Types.Participant_failed
-      | 0 -> (
+      match reply_status r with
+      | Ok () -> (
           match
             Wire.rlist r (fun r ->
                 let k = Wire.rstr r in
@@ -173,9 +185,7 @@ let scan t txn ~lo ~hi =
           with
           | kvs -> Ok kvs
           | exception Wire.Malformed _ -> Error Types.Participant_failed)
-      | 1 -> Error Types.Lock_timeout
-      | 2 -> Error Types.Rolled_back
-      | _ -> Error Types.Unauthenticated)
+      | Error e -> Error e)
 
 let put t txn key value =
   match send_op t txn (`Put (key, value)) with
@@ -191,23 +201,19 @@ let commit t txn =
   Wire.w64 b txn.t_seq;
   match
     Erpc.call t.rpc ~dst:txn.t_coord ~kind:Node.k_client_commit
-      ~timeout_ns:t.op_timeout (Buffer.contents b)
+      ~timeout_ns:op_timeout_ns (Buffer.contents b)
   with
   | Error (`Timeout | `Tampered) -> Error Types.Participant_failed
   | Ok reply -> (
       let r = Wire.reader reply in
-      match Wire.r8 r with
-      | exception Wire.Malformed _ -> Error Types.Participant_failed
-      | 0 -> Ok ()
-      | 1 -> (
+      match reply_status r with
+      | Ok () -> Ok ()
+      | Error Types.Lock_timeout -> (
+          (* Aborted at commit: a reason byte refines the status. *)
           match Wire.r8 r with
-          | 0 -> Error Types.Lock_timeout
-          | 1 -> Error Types.Validation_failed
-          | 2 -> Error Types.Participant_failed
-          | 4 -> Error Types.Stabilization_unavailable
-          | _ | (exception Wire.Malformed _) -> Error Types.Participant_failed)
-      | 2 -> Error Types.Rolled_back
-      | _ -> Error Types.Unauthenticated)
+          | code -> Error (Node.abort_of_code code)
+          | exception Wire.Malformed _ -> Error Types.Participant_failed)
+      | Error e -> Error e)
 
 let rollback t txn =
   let b = Buffer.create 16 in
@@ -215,7 +221,7 @@ let rollback t txn =
   Wire.w64 b txn.t_seq;
   ignore
     (Erpc.call t.rpc ~dst:txn.t_coord ~kind:Node.k_client_abort
-       ~timeout_ns:t.op_timeout (Buffer.contents b))
+       ~timeout_ns:op_timeout_ns (Buffer.contents b))
 
 (* Zero-RPC read-only fast path: declare the read set up front, group the
    keys by owning node and ship each group as ONE RPC answered from a
@@ -243,14 +249,13 @@ let read_only t keys =
     Wire.wlist b Wire.wstr batch;
     match
       Erpc.call t.rpc ~dst:owner ~kind:Node.k_client_ro
-        ~timeout_ns:t.op_timeout (Buffer.contents b)
+        ~timeout_ns:op_timeout_ns (Buffer.contents b)
     with
     | Error (`Timeout | `Tampered) -> Error Types.Participant_failed
     | Ok reply -> (
         let r = Wire.reader reply in
-        match Wire.r8 r with
-        | exception Wire.Malformed _ -> Error Types.Participant_failed
-        | 0 -> (
+        match reply_status r with
+        | Ok () -> (
             match
               Wire.rlist r (fun r ->
                   if Wire.r8 r = 1 then Some (Wire.rstr r) else None)
@@ -262,17 +267,17 @@ let read_only t keys =
                   batch values;
                 Ok ()
             | _short -> Error Types.Participant_failed)
-        | 1 ->
+        | Error Types.Lock_timeout ->
             (* The owner's stability guard timed out: the read set stayed
                under in-flight writes for the whole lock-timeout budget. *)
             Error Types.Lock_timeout
-        | 3 ->
+        | Error Types.Unauthenticated ->
             (* Restarted node with an empty client registry: re-present the
                CAS token and retry once, as begin_txn does. *)
             if retry && register_with t owner then
               fetch ~retry:false owner batch
             else Error Types.Unauthenticated
-        | _ -> Error Types.Participant_failed)
+        | Error _ -> Error Types.Participant_failed)
   in
   let rec go = function
     | [] ->

@@ -210,6 +210,11 @@ let deps_of t ~node_id =
     history = t.history;
   }
 
+(* Watchdog threshold for the TreatySan fiber-starvation detector (simulated
+   time). It must sit above the longest legitimate wait in a run: chaos
+   crash-restart retry loops park fibers for seconds. *)
+let fiber_stall_ns = 10_000_000_000
+
 let create sim config ?route () =
   let route =
     (* Deterministic by construction: Hashtbl.hash here would make key
@@ -229,8 +234,7 @@ let create sim config ?route () =
     Sim.enable_fiber_profile sim
   end;
   if config.Config.profile.sanitize then begin
-    Sim.enable_fiber_watchdog sim
-      ~threshold_ns:config.Config.sanitize_fiber_stall_ns
+    Sim.enable_fiber_watchdog sim ~threshold_ns:fiber_stall_ns
       ~report:(fun detail ->
         Treaty_util.Sanitizer.record Treaty_util.Sanitizer.Fiber_stall detail);
     (* Plaintext taint only means something when sealing actually happens;

@@ -50,24 +50,16 @@ type t = {
   nodes : int;
   cores_per_node : int;
   isolation : Types.isolation;
-  lock_shards : int;
-  lock_timeout_ns : int;
   engine : Treaty_storage.Engine.config;
   cost : Treaty_sim.Costmodel.t;
   transport : Treaty_rpc.Transport.kind;
-  transport_params : Treaty_rpc.Transport.params;
   rpc_timeout_ns : int;
-  client_op_timeout_ns : int;
   decision_query_timeout_ns : int;
-  recovery_resolve_attempts : int;
-  recovery_resolve_retry_ns : int;
   sweep_interval_ns : int;
   part_prepared_resolve_ns : int;
   part_stale_abort_ns : int;
   coord_tx_abandon_ns : int;
   dedup_ttl_ns : int;
-  burst_window_ns : int;
-  sanitize_fiber_stall_ns : int;
   record_history : bool;
   seed : int64;
 }
@@ -78,24 +70,16 @@ let default =
     nodes = 3;
     cores_per_node = 8;
     isolation = Types.Pessimistic;
-    lock_shards = 256;
-    lock_timeout_ns = 40_000_000;
     engine = Treaty_storage.Engine.default_config;
     cost = Treaty_sim.Costmodel.default;
     transport = Treaty_rpc.Transport.Dpdk;
-    transport_params = Treaty_rpc.Transport.default_params;
     rpc_timeout_ns = 120_000_000;
-    client_op_timeout_ns = 400_000_000;
     decision_query_timeout_ns = 20_000_000;
-    recovery_resolve_attempts = 25;
-    recovery_resolve_retry_ns = 20_000_000;
     sweep_interval_ns = 250_000_000;
     part_prepared_resolve_ns = 400_000_000;
     part_stale_abort_ns = 1_000_000_000;
     coord_tx_abandon_ns = 3_000_000_000;
     dedup_ttl_ns = 2_000_000_000;
-    burst_window_ns = 8_000;
-    sanitize_fiber_stall_ns = 10_000_000_000;
     record_history = false;
     seed = 0xC0FFEEL;
   }

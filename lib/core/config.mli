@@ -57,21 +57,14 @@ type t = {
   nodes : int;
   cores_per_node : int;
   isolation : Types.isolation;
-  lock_shards : int;  (** "TREATY runs with a big number of shards" (§V-B). *)
-  lock_timeout_ns : int;
   engine : Treaty_storage.Engine.config;
   cost : Treaty_sim.Costmodel.t;
   transport : Treaty_rpc.Transport.kind;
-  transport_params : Treaty_rpc.Transport.params;
   rpc_timeout_ns : int;
-  client_op_timeout_ns : int;
   decision_query_timeout_ns : int;
       (** Timeout for cooperative-termination decision queries
           ([k_query_decision]); chaos schedules with large delay spikes need
           it above the spike so prepared transactions are not stranded. *)
-  recovery_resolve_attempts : int;
-      (** Retries a recovering participant makes resolving a prepared tx. *)
-  recovery_resolve_retry_ns : int;  (** Backoff between those retries. *)
   sweep_interval_ns : int;  (** Background hygiene sweep period. *)
   part_prepared_resolve_ns : int;
       (** Age at which a prepared participant tx is driven to resolution. *)
@@ -84,14 +77,6 @@ type t = {
   dedup_ttl_ns : int;
       (** TTL for non-transactional at-most-once cache entries (see
           {!Treaty_rpc.Erpc.config}). *)
-  burst_window_ns : int;
-      (** Doorbell window for RPC burst coalescing on node endpoints
-          (client endpoints keep the {!Treaty_rpc.Erpc.default_config}
-          window). *)
-  sanitize_fiber_stall_ns : int;
-      (** Watchdog threshold for the TreatySan fiber-starvation detector
-          (simulated time). Must sit above the longest legitimate wait in a
-          run — chaos crash-restart retry loops park fibers for seconds. *)
   record_history : bool;  (** Feed the serializability checker. *)
   seed : int64;
 }

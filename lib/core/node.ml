@@ -33,6 +33,12 @@ let k_client_commit = 13
 let k_client_abort = 14
 let k_client_ro = 16
 
+(* Lock table: "TREATY runs with a big number of shards" (§V-B). A lock
+   wait longer than [lock_timeout_ns] aborts the waiter; the read-only
+   path's stability guard spends the same budget. *)
+let lock_shards = 256
+let lock_timeout_ns = 40_000_000
+
 type stats = {
   mutable committed : int;
   mutable aborted : int;
@@ -194,6 +200,19 @@ let status_of_code = function
   | 3 -> Some St_unauth
   | 4 -> Some St_conflict
   | _unknown -> None
+
+let abort_code = function
+  | Types.Lock_timeout -> 0
+  | Types.Validation_failed -> 1
+  | Types.Participant_failed -> 2
+  | Types.Integrity | Types.Rolled_back | Types.Unauthenticated -> 3
+  | Types.Stabilization_unavailable -> 4
+
+let abort_of_code = function
+  | 0 -> Types.Lock_timeout
+  | 1 -> Types.Validation_failed
+  | 4 -> Types.Stabilization_unavailable
+  | _participant -> Types.Participant_failed
 
 let ok_value_reply value seq =
   let b = Buffer.create 32 in
@@ -892,16 +911,8 @@ let handle_client_commit t _meta payload =
           | Ok () -> status_reply St_ok
           | Error reason ->
               let b = Buffer.create 2 in
-              Wire.w8 b 1;
-              Wire.w8 b
-                (match reason with
-                | Types.Lock_timeout -> 0
-                | Types.Validation_failed -> 1
-                | Types.Participant_failed -> 2
-                | Types.Integrity | Types.Rolled_back | Types.Unauthenticated
-                  ->
-                    3
-                | Types.Stabilization_unavailable -> 4);
+              Wire.w8 b (status_code St_lock_timeout);
+              Wire.w8 b (abort_code reason);
               Buffer.contents b))
 
 let handle_client_abort t _meta payload =
@@ -978,7 +989,7 @@ let handle_client_ro t _meta payload =
             wait_stable (budget_ns - backoff_ns)
           end
         in
-        if not (wait_stable t.deps.config.lock_timeout_ns) then begin
+        if not (wait_stable lock_timeout_ns) then begin
           Trace.end_span span ~args:[ ("status", Trace.Str "unstable") ];
           status_reply St_lock_timeout
         end
@@ -1075,7 +1086,8 @@ let register_handlers t =
    termination): "c"/"a" are authoritative; "u" means the coordinator has no
    memory of the transaction, which — because the decision is stabilized
    before any commit is sent — can only happen if no commit was ever issued,
-   so aborting is safe. "p"/"r" mean ask again later. *)
+   so aborting is safe. "p"/"r" mean ask again later. Returns whether the
+   transaction was resolved. *)
 let resolve_in_doubt t ~coord ~tx_seq =
   let b = Buffer.create 8 in
   Wire.w64 b tx_seq;
@@ -1085,11 +1097,13 @@ let resolve_in_doubt t ~coord ~tx_seq =
   with
   | Ok "c" ->
       ignore (Engine.resolve t.engine ~tx:(coord, tx_seq) ~commit:true);
-      finish_participant t ~coord ~tx_seq
+      finish_participant t ~coord ~tx_seq;
+      true
   | Ok ("a" | "u") ->
       ignore (Engine.resolve t.engine ~tx:(coord, tx_seq) ~commit:false);
-      finish_participant t ~coord ~tx_seq
-  | Ok _ | Error (`Timeout | `Tampered) -> ()
+      finish_participant t ~coord ~tx_seq;
+      true
+  | Ok _ | Error (`Timeout | `Tampered) -> false
 
 (* Background hygiene: abort participant contexts whose coordinator went
    silent before prepare (their locks must not block the key space), drive
@@ -1127,7 +1141,7 @@ let start_sweeper t =
           List.iter
             (fun (coord, tx_seq) ->
               Sim.spawn t.deps.sim (fun () ->
-                  if t.alive then resolve_in_doubt t ~coord ~tx_seq))
+                  if t.alive then ignore (resolve_in_doubt t ~coord ~tx_seq)))
             (in_doubt @ orphaned);
           (* Coordinator contexts abandoned by their client (crashed client,
              lost rollback, begin whose ack never arrived) hold locks and a
@@ -1154,6 +1168,10 @@ let start_sweeper t =
         end
       done)
 
+(* Doorbell window for RPC burst coalescing on node endpoints (client
+   endpoints keep the {!Erpc.default_config} window). *)
+let burst_window_ns = 8_000
+
 let build_parts (deps : deps) ssd =
   let cfg = deps.config in
   let enclave =
@@ -1171,10 +1189,9 @@ let build_parts (deps : deps) ssd =
     {
       (Erpc.default_config ~security) with
       Erpc.transport = cfg.transport;
-      params = cfg.transport_params;
       timeout_ns = cfg.rpc_timeout_ns;
       dedup_ttl_ns = cfg.dedup_ttl_ns;
-      burst_window_ns = cfg.burst_window_ns;
+      burst_window_ns;
     }
   in
   let rpc =
@@ -1191,8 +1208,7 @@ let build_parts (deps : deps) ssd =
   in
   let locks =
     Lock_table.create ~sanitize:cfg.profile.sanitize ~node:deps.node_id
-      deps.sim ~enclave ~shards:cfg.lock_shards
-      ~timeout_ns:cfg.lock_timeout_ns
+      deps.sim ~enclave ~shards:lock_shards ~timeout_ns:lock_timeout_ns
   in
   (* The replica's sealed counter table lives on the node's own SSD so a
      crashed node resumes from its latest confirmed counters even when its
@@ -1281,6 +1297,11 @@ let create deps =
   assemble deps parts engine
 
 exception Recovery_unavailable of string
+
+(* A recovering participant retries resolving each prepared transaction
+   with its coordinator this many times, this far apart. *)
+let recovery_resolve_attempts = 25
+let recovery_resolve_retry_ns = 20_000_000
 
 let recover_with deps ~ssd =
   let ((_, _, _, sec, _, _, counter_client, _) as parts) = build_parts deps ssd in
@@ -1373,26 +1394,14 @@ let recover_with deps ~ssd =
             writes;
           Sim.spawn deps.sim (fun () ->
               let rec resolve_loop attempts =
-                if attempts <= 0 then () (* stay prepared; blocked on coord *)
-                else
-                  match
-                    let b = Buffer.create 8 in
-                    Wire.w64 b tx_seq;
-                    Erpc.call t.rpc ~dst:coord ~kind:k_query_decision
-                      ~timeout_ns:deps.config.decision_query_timeout_ns
-                      (Buffer.contents b)
-                  with
-                  | Ok "c" ->
-                      ignore (Engine.resolve t.engine ~tx:(coord, tx_seq) ~commit:true);
-                      finish_participant t ~coord ~tx_seq
-                  | Ok ("a" | "u") ->
-                      ignore (Engine.resolve t.engine ~tx:(coord, tx_seq) ~commit:false);
-                      finish_participant t ~coord ~tx_seq
-                  | Ok _ | Error (`Timeout | `Tampered) ->
-                      Sim.sleep deps.sim deps.config.recovery_resolve_retry_ns;
-                      resolve_loop (attempts - 1)
+                (* Out of attempts: stay prepared, blocked on the coordinator. *)
+                if attempts > 0 && not (resolve_in_doubt t ~coord ~tx_seq)
+                then begin
+                  Sim.sleep deps.sim recovery_resolve_retry_ns;
+                  resolve_loop (attempts - 1)
+                end
               in
-              resolve_loop deps.config.recovery_resolve_attempts))
+              resolve_loop recovery_resolve_attempts))
         info.Engine.prepared;
       t.recovering <- false;
       Ok t

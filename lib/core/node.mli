@@ -32,6 +32,22 @@ val k_client_ro : int
     client-declared read-only transaction against a retained MVCC snapshot
     at the owning node — no locks, no 2PC, no stabilization wait. *)
 
+(** The status byte that leads every node reply; clients decode replies
+    with the same table. [St_unknown_tx] means the addressed node holds no
+    such transaction: it already ended (rolled back, aborted or
+    committed), or its coordinator restarted. A client commit the
+    coordinator aborted replies [St_lock_timeout] followed by an
+    {!abort_code} byte. *)
+type op_status = St_ok | St_lock_timeout | St_unknown_tx | St_unauth | St_conflict
+
+val status_code : op_status -> int
+val status_of_code : int -> op_status option
+
+val abort_code : Types.abort_reason -> int
+(** The reason byte of an aborted client commit. *)
+
+val abort_of_code : int -> Types.abort_reason
+
 type stats = {
   mutable committed : int;
   mutable aborted : int;

@@ -22,7 +22,6 @@ type t = {
   stats : stats;
   attempts : int;
   retry_backoff_ns : int;
-  epoch_window_ns : int;
   mutable pump_active : bool;
   mutable round_span : Trace.span;
       (* Open "rote.round" span: begun by the first submit since the last
@@ -31,8 +30,10 @@ type t = {
          round that covers it finishes. *)
 }
 
-let create ?(attempts = 40) ?(retry_backoff_ns = 2_000_000)
-    ?(epoch_window_ns = 250_000) replica ~owner =
+(* How long the pump accumulates submissions before each round. *)
+let epoch_window_ns = 250_000
+
+let create ?(attempts = 40) ?(retry_backoff_ns = 2_000_000) replica ~owner =
   {
     replica;
     owner;
@@ -41,7 +42,6 @@ let create ?(attempts = 40) ?(retry_backoff_ns = 2_000_000)
     stats = { submits = 0; rounds_started = 0; waits = 0; failed_waits = 0 };
     attempts;
     retry_backoff_ns;
-    epoch_window_ns;
     pump_active = false;
     round_span = Trace.none;
   }
@@ -88,7 +88,7 @@ let rec pump t ~attempts =
      round fires, so the ~per-round protocol cost is shared by every
      transaction that lands inside it (group commit applied to counter
      rounds). Pays up to [epoch_window_ns] extra stabilization latency. *)
-  if t.epoch_window_ns > 0 then Sim.sleep t.sim t.epoch_window_ns;
+  Sim.sleep t.sim epoch_window_ns;
   match pending_targets t with
   | [] -> t.pump_active <- false
   | targets -> (

@@ -26,16 +26,15 @@ type stats = {
 val create :
   ?attempts:int ->
   ?retry_backoff_ns:int ->
-  ?epoch_window_ns:int ->
   Rote.replica ->
   owner:int ->
   t
 (** [owner] is the node whose logs this client stabilizes. [attempts]
     (default 40) bounds consecutive no-quorum retries before pending waiters
     are failed; [retry_backoff_ns] (default 2 ms) is the sleep between
-    retries. [epoch_window_ns] (default 250 µs) is how long the
-    pump accumulates submissions before each round: the group-commit trade
-    of a bounded latency hit for rounds amortized across transactions. *)
+    retries. The pump accumulates submissions for 250 µs before each
+    round: the group-commit trade of a bounded latency hit for rounds
+    amortized across transactions. *)
 
 val stats : t -> stats
 

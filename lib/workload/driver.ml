@@ -9,6 +9,36 @@ type result = {
   clients : int;
 }
 
+exception Load_failure of string
+
+let load_batches client ~batch puts =
+  (* Put up to [n] pairs in [txn]; returns the first pair not put. *)
+  let rec put txn n = function
+    | Seq.Cons ((key, value), rest) when n > 0 -> (
+        match Client.put client txn key value with
+        | Ok () -> put txn (n - 1) (rest ())
+        | Error e -> Error e)
+    | node -> Ok node
+  in
+  let rec go = function
+    | Seq.Nil -> ()
+    | node -> (
+        match Client.with_txn client (fun txn -> put txn batch node) with
+        | Ok rest -> go rest
+        | Error e ->
+            raise
+              (Load_failure
+                 ("load batch aborted: " ^ Treaty_core.Types.abort_reason_to_string e)))
+  in
+  go (puts ())
+
+let loader_client_id = 900
+
+let load cluster ~seed populate =
+  let loader = Client.connect_exn cluster ~client_id:loader_client_id in
+  populate loader (Treaty_sim.Rng.create seed);
+  Client.disconnect loader
+
 let run_clients cluster ~clients ~duration_ns ?(warmup_ns = 0)
     ?(first_client_id = 1) ~txn () =
   let sim = Cluster.sim cluster in

@@ -12,6 +12,26 @@ type result = {
   clients : int;
 }
 
+exception Load_failure of string
+(** Raised by {!load_batches} when a populate transaction aborts: the
+    database is not in a usable state and the harness should stop. *)
+
+val load_batches :
+  Treaty_core.Client.t -> batch:int -> (string * string) Seq.t -> unit
+(** Put every pair, [batch] pairs per transaction, in order. Each pair is
+    produced once, when its turn comes. Raises {!Load_failure} if a batch
+    aborts. *)
+
+val load :
+  Treaty_core.Cluster.t ->
+  seed:int64 ->
+  (Treaty_core.Client.t -> Treaty_sim.Rng.t -> unit) ->
+  unit
+(** [load cluster ~seed populate] runs [populate] (e.g. {!Ycsb.load} or
+    {!Tpcc.load}) through one loader client with an RNG made from [seed],
+    then disconnects it. Must run in a fiber, before the measured clients
+    start. *)
+
 val run_clients :
   Treaty_core.Cluster.t ->
   clients:int ->

@@ -106,42 +106,7 @@ let last_name_of i =
   (* Standard TPC-C syllable construction. *)
   last_names.(i / 100 mod 10) ^ last_names.(i / 10 mod 10) ^ last_names.(i mod 10)
 
-exception Load_failure of string
-
-let put_exn client txn key value =
-  match Client.put client txn key value with
-  | Ok () -> ()
-  | Error e ->
-      raise (Load_failure ("tpcc load put failed: " ^ Types.abort_reason_to_string e))
-
 let load config client rng =
-  let commit_batch puts =
-    (* Loading is chunked into moderate transactions to bound buffer sizes. *)
-    let rec chunks l =
-      match l with
-      | [] -> ()
-      | _ ->
-          let batch, rest =
-            let rec take n acc = function
-              | x :: tl when n > 0 -> take (n - 1) (x :: acc) tl
-              | tl -> (List.rev acc, tl)
-            in
-            take 200 [] l
-          in
-          (match
-             Client.with_txn client (fun txn ->
-                 List.iter (fun (k, v) -> put_exn client txn k v) batch;
-                 Ok ())
-           with
-          | Ok () -> ()
-          | Error e ->
-              raise
-                (Load_failure
-                   ("tpcc load commit failed: " ^ Types.abort_reason_to_string e)));
-          chunks rest
-    in
-    chunks puts
-  in
   for w = 1 to config.warehouses do
     let puts = ref [] in
     let add k v = puts := (k, v) :: !puts in
@@ -176,7 +141,8 @@ let load config client rng =
       done;
       Hashtbl.iter (fun last cs -> add (k_customer_index w d last) (ser (List.sort compare cs))) index
     done;
-    commit_batch (List.rev !puts)
+    (* Moderate transactions bound buffer sizes. *)
+    Driver.load_batches client ~batch:200 (List.to_seq (List.rev !puts))
   done
 
 (* --- transaction profiles ------------------------------------------------ *)
@@ -455,6 +421,10 @@ let run config client rng ~nodes ~home kind =
       | Order_status -> order_status config client rng ~home txn
       | Delivery -> delivery config client rng ~home txn
       | Stock_level -> stock_level config client rng ~home txn)
+
+let txn config ~nodes client ~client_index rng =
+  let home = 1 + (client_index mod config.warehouses) in
+  run config client rng ~nodes ~home (pick_kind rng)
 
 module Check = struct
   let district_orders config client ~warehouse =

@@ -42,13 +42,9 @@ val route : config -> nodes:int -> string -> int
 val home_node : config -> nodes:int -> warehouse:int -> int
 (** Node index of a warehouse (to pin a client's coordinator). *)
 
-exception Load_failure of string
-(** Raised by {!load} when a populate transaction aborts — the database is
-    not in a usable state and the harness should stop. *)
-
 val load : config -> Treaty_core.Client.t -> Treaty_sim.Rng.t -> unit
 (** Populate the database (run once, before measuring). Uses one loader
-    client; idempotent. Raises {!Load_failure} if a load transaction
+    client; idempotent. Raises {!Driver.Load_failure} if a load transaction
     aborts. *)
 
 type txn_kind = New_order | Payment | Order_status | Delivery | Stock_level
@@ -68,6 +64,17 @@ val run :
   unit Treaty_core.Types.txn_result
 (** Execute one transaction of the given profile from a terminal homed at
     warehouse [home]. *)
+
+val txn :
+  config ->
+  nodes:int ->
+  (Treaty_core.Client.t ->
+  client_index:int ->
+  Treaty_sim.Rng.t ->
+  unit Treaty_core.Types.txn_result)
+(** A transaction function for {!Driver.run_clients}: client [i]'s terminal
+    is homed at warehouse [1 + i mod warehouses] and draws each
+    transaction's profile from the standard mix ({!pick_kind}). *)
 
 (** Consistency conditions (TPC-C §3.3.2), checked by the tests. *)
 module Check : sig

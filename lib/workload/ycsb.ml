@@ -1,6 +1,5 @@
 module Rng = Treaty_sim.Rng
 module Client = Treaty_core.Client
-module Types = Treaty_core.Types
 
 type config = {
   read_fraction : float;
@@ -26,8 +25,6 @@ type op = Read of string | Update of string * string
 
 let key_of_index i = Printf.sprintf "user%08d" i
 
-let load_keys config = List.init config.n_keys key_of_index
-
 let make_value config rng =
   String.init config.value_size (fun _ -> Char.chr (97 + Rng.int rng 26))
 
@@ -47,7 +44,7 @@ let next_txn g =
       if Rng.float g.rng 1.0 < g.config.read_fraction then Read key
       else Update (key, make_value g.config g.rng))
 
-let run_txn ?(ro_fast_path = false) client coord ops =
+let run_txn ~ro_fast_path client ops =
   let read_keys =
     if ro_fast_path then
       List.fold_left
@@ -66,7 +63,7 @@ let run_txn ?(ro_fast_path = false) client coord ops =
       | Ok _ -> Ok ()
       | Error e -> Error e)
   | None ->
-  Client.with_txn client ?coord (fun txn ->
+  Client.with_txn client (fun txn ->
       let rec go = function
         | [] -> Ok ()
         | Read key :: rest -> (
@@ -79,3 +76,20 @@ let run_txn ?(ro_fast_path = false) client coord ops =
             | Error e -> Error e)
       in
       go ops)
+
+let load config client rng =
+  Driver.load_batches client ~batch:100
+    (Seq.init config.n_keys (fun i -> (key_of_index i, make_value config rng)))
+
+let txn ?(ro_fast_path = false) config =
+  let generators = Hashtbl.create 16 in
+  fun client ~client_index rng ->
+    let g =
+      match Hashtbl.find_opt generators client_index with
+      | Some g -> g
+      | None ->
+          let g = generator config rng in
+          Hashtbl.replace generators client_index g;
+          g
+    in
+    run_txn ~ro_fast_path client (next_txn g)

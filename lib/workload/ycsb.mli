@@ -26,10 +26,10 @@ type op = Read of string | Update of string * string
 
 val key_of_index : int -> string
 
-val load_keys : config -> string list
-(** The full key space, for pre-loading the store. *)
-
-val make_value : config -> Treaty_sim.Rng.t -> string
+val load : config -> Treaty_core.Client.t -> Treaty_sim.Rng.t -> unit
+(** Populate the key space through one loader client: batches of 100 keys
+    in index order, one random [value_size]-byte value per key drawn from
+    the given RNG. Raises {!Driver.Load_failure} if a batch aborts. *)
 
 type generator
 
@@ -38,13 +38,16 @@ val generator : config -> Treaty_sim.Rng.t -> generator
 val next_txn : generator -> op list
 (** One transaction's operation list. *)
 
-val run_txn :
+val txn :
   ?ro_fast_path:bool ->
-  Treaty_core.Client.t ->
-  Treaty_core.Types.node_id option ->
-  op list ->
-  unit Treaty_core.Types.txn_result
-(** Execute the operations as one client transaction. With [ro_fast_path]
-    (default off), an all-read transaction is declared read-only up front
-    and executed through {!Treaty_core.Client.read_only} — zero locks, no
-    2PC, one snapshot round per owning shard. *)
+  config ->
+  (Treaty_core.Client.t ->
+  client_index:int ->
+  Treaty_sim.Rng.t ->
+  unit Treaty_core.Types.txn_result)
+(** A transaction function for {!Driver.run_clients}. Each [client_index]
+    gets its own generator, created from that client's RNG on its first
+    transaction. With [ro_fast_path] (default off), an all-read transaction
+    is declared read-only up front and executed through
+    {!Treaty_core.Client.read_only}: zero locks, no 2PC, one snapshot round
+    per owning shard. *)

@@ -245,6 +245,28 @@ let abort_leaves_no_trace () =
         (Cluster.total_committed cluster);
       Client.disconnect c)
 
+(* After a rollback the coordinator no longer knows the transaction, and
+   replies "unknown transaction" to further operations on it. The client must
+   report that as a failure, not as the application's own rollback. *)
+let ops_after_rollback_fail () =
+  with_cluster ~route:explicit_route (fun _sim cluster ->
+      let c = Client.connect_exn cluster ~client_id:1 in
+      (match Client.begin_txn c () with
+      | Error _ -> Alcotest.fail "begin"
+      | Ok txn ->
+          ignore (Client.put c txn "node1:k" "v");
+          Client.rollback c txn;
+          let reason = function
+            | Ok _ -> "ok"
+            | Error e -> Types.abort_reason_to_string e
+          in
+          let failed = Types.abort_reason_to_string Types.Participant_failed in
+          Alcotest.(check string) "get after rollback" failed
+            (reason (Client.get c txn "k"));
+          Alcotest.(check string) "commit after rollback" failed
+            (reason (Client.commit c txn)));
+      Client.disconnect c)
+
 let read_own_writes () =
   with_cluster ~route:explicit_route (fun _sim cluster ->
       let c = Client.connect_exn cluster ~client_id:1 in
@@ -780,6 +802,8 @@ let suite =
     Alcotest.test_case "distributed commit visible everywhere" `Quick
       distributed_commit_visible_everywhere;
     Alcotest.test_case "abort leaves no trace" `Quick abort_leaves_no_trace;
+    Alcotest.test_case "operations after rollback fail" `Quick
+      ops_after_rollback_fail;
     Alcotest.test_case "read own writes" `Quick read_own_writes;
     Alcotest.test_case "cross-shard scan" `Quick cross_shard_scan;
     Alcotest.test_case "concurrent pessimistic serializable" `Slow

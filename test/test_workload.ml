@@ -146,6 +146,38 @@ let tpcc_end_to_end () =
           Client.disconnect c;
           Cluster.shutdown cluster)
 
+(* The shared YCSB loader leaves every key readable with a value of the
+   configured size, and raises instead of leaving a partial key space. *)
+let ycsb_load () =
+  let sim = Sim.create () in
+  Sim.run sim (fun () ->
+      let config = Config.with_profile Config.default Config.treaty_enc in
+      match Cluster.create sim config () with
+      | Error m -> Alcotest.failf "cluster: %s" m
+      | Ok cluster ->
+          let ycsb = { W.Ycsb.default with W.Ycsb.n_keys = 250; value_size = 64 } in
+          W.Driver.load cluster ~seed:1L (W.Ycsb.load ycsb);
+          let c = Client.connect_exn cluster ~client_id:1 in
+          (match Client.read_only c (List.init ycsb.W.Ycsb.n_keys W.Ycsb.key_of_index) with
+          | Error e -> Alcotest.failf "read back: %s" (Types.abort_reason_to_string e)
+          | Ok kvs ->
+              Alcotest.(check int) "every key read" ycsb.W.Ycsb.n_keys (List.length kvs);
+              List.iter
+                (fun (k, v) ->
+                  match v with
+                  | Some v ->
+                      Alcotest.(check int) ("value size of " ^ k) ycsb.W.Ycsb.value_size
+                        (String.length v)
+                  | None -> Alcotest.failf "key %s missing after load" k)
+                kvs);
+          Client.disconnect c;
+          (* A shard down: batches touching its keys abort. *)
+          Cluster.crash_node cluster 0;
+          (match W.Driver.load cluster ~seed:1L (W.Ycsb.load ycsb) with
+          | () -> Alcotest.fail "load with a shard down returned"
+          | exception W.Driver.Load_failure _ -> ());
+          Cluster.shutdown cluster)
+
 let driver_windows () =
   let sim = Sim.create () in
   Sim.run sim (fun () ->
@@ -174,5 +206,6 @@ let suite =
     Alcotest.test_case "tpcc transaction mix" `Quick tpcc_mix;
     Alcotest.test_case "tpcc warehouse routing" `Quick tpcc_routing;
     Alcotest.test_case "tpcc end-to-end + consistency" `Slow tpcc_end_to_end;
+    Alcotest.test_case "ycsb load populates every key" `Quick ycsb_load;
     Alcotest.test_case "driver measurement windows" `Quick driver_windows;
   ]
