@@ -10,6 +10,7 @@ let value_1k = String.make 1024 'v'
 let aead_key = Crypto.Aead.key_of_string "bench"
 let hmac = Crypto.Hmac.create "bench-key"
 let msg_100 = String.make 100 'm'
+let poly_key = String.init 32 (fun i -> Char.chr (i * 7 land 0xff))
 
 let sealed =
   let ivg = Crypto.Aead.Iv_gen.create ~node_id:1 in
@@ -70,6 +71,8 @@ let tests =
       Test.make ~name:"chacha20-1KiB"
         (Staged.stage (fun () ->
              Crypto.Chacha20.xor ~key:(String.make 32 'k') ~nonce:(String.make 12 'n') value_1k));
+      Test.make ~name:"poly1305-1KiB"
+        (Staged.stage (fun () -> Crypto.Poly1305.mac ~key:poly_key value_1k));
       Test.make ~name:"aead-seal-1KiB"
         (Staged.stage (fun () ->
              Crypto.Aead.seal_packed aead_key ~iv:(String.make 12 'i') value_1k));

@@ -31,6 +31,7 @@ type t = {
   master_secret : string;
   route : string -> int;
   history : Serializability.t option;
+  mutable launches : int;
 }
 
 let sim t = t.sim
@@ -38,6 +39,14 @@ let config t = t.config
 let net t = t.net
 let history t = t.history
 let master t = t.master
+
+(* Every enclave the cluster launches gets a launch number no earlier one
+   had: the IVs it seals under are stamped with it, and a restarted node or
+   a reconnecting client id restarts its IV counter at 0. Counting launches
+   rather than drawing from the [Sim] RNG keeps seeded runs unchanged. *)
+let next_incarnation t =
+  t.launches <- t.launches + 1;
+  t.launches
 
 let node t i =
   match t.nodes.(i) with
@@ -176,8 +185,9 @@ let pipeline_summary t =
    real node endpoint comes up. *)
 let bootstrap_rpc t ~node_id =
   let enclave =
-    Enclave.create t.sim ~mode:t.config.profile.tee ~cost:t.config.cost ~cores:2
-      ~node_id ~code_identity
+    Enclave.create ~incarnation:(next_incarnation t) t.sim
+      ~mode:t.config.profile.tee ~cost:t.config.cost ~cores:2 ~node_id
+      ~code_identity
   in
   let pool = Mempool.create enclave in
   let config = Erpc.default_config ~security:Secure_msg.Plain in
@@ -204,6 +214,7 @@ let deps_of t ~node_id =
     config = t.config;
     net = t.net;
     node_id;
+    incarnation = next_incarnation t;
     peers = List.init (Array.length t.nodes) (fun i -> i + 1);
     route = (fun key -> 1 + (t.route key mod Array.length t.nodes));
     master = t.master;
@@ -257,6 +268,7 @@ let create sim config ?route () =
       master_secret;
       route;
       history = (if config.record_history then Some (Serializability.create ()) else None);
+      launches = 0;
     }
   in
   (* CAS bootstrap: its own enclave and endpoint, attested over IAS. *)

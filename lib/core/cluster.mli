@@ -7,7 +7,7 @@
     form the trusted-counter protection group among themselves.
 
     Node indexes are 0-based; the wire-level node ids are index+1, the CAS
-    sits at id 90, clients at 1000+. *)
+    sits at id {!cas_id} (900), clients at 1000+. *)
 
 type t
 
@@ -36,6 +36,11 @@ val route_key : t -> string -> int
 val history : t -> Serializability.t option
 val master : t -> Treaty_crypto.Keys.master
 val cas_id : int
+
+val next_incarnation : t -> int
+(** A launch number no enclave of this cluster has had yet, for
+    {!Treaty_tee.Enclave.create}: a restarted node or a reconnecting client
+    id must not restart its IV counter on IVs it already sealed under. *)
 
 val client_token : t -> client_id:int -> (string, [ `Cas_down ]) result
 (** Obtain a client auth token from the CAS (models the out-of-band client

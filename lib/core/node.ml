@@ -54,6 +54,7 @@ type deps = {
   config : Config.t;
   net : Net.t;
   node_id : int;
+  incarnation : int;
   peers : int list;
   route : string -> int;
   master : Keys.master;
@@ -1175,8 +1176,9 @@ let burst_window_ns = 8_000
 let build_parts (deps : deps) ssd =
   let cfg = deps.config in
   let enclave =
-    Enclave.create deps.sim ~mode:cfg.profile.tee ~cost:cfg.cost
-      ~cores:cfg.cores_per_node ~node_id:deps.node_id ~code_identity:"treaty-node-v1"
+    Enclave.create ~incarnation:deps.incarnation deps.sim ~mode:cfg.profile.tee
+      ~cost:cfg.cost ~cores:cfg.cores_per_node ~node_id:deps.node_id
+      ~code_identity:"treaty-node-v1"
   in
   Enclave.install_secrets enclave deps.master;
   let pool = Mempool.create ~sanitize:cfg.profile.sanitize enclave in

@@ -65,6 +65,8 @@ type deps = {
   config : Config.t;
   net : Treaty_netsim.Net.t;
   node_id : int;
+  incarnation : int;
+      (** This launch of the node's enclave ({!Cluster.next_incarnation}). *)
   peers : int list;  (** All storage node ids, self included. *)
   route : string -> int;  (** Key -> owning node id (the shard map). *)
   master : Treaty_crypto.Keys.master;  (** Provisioned by the CAS. *)

@@ -1,9 +1,16 @@
 (** Authenticated encryption with associated data.
 
-    ChaCha20 + HMAC-SHA256 in encrypt-then-MAC composition, with the wire
-    sizes Treaty's message layout prescribes (§VII-A): a 12-byte IV and a
-    16-byte (truncated) MAC. Tampering with the IV, the associated data, the
-    ciphertext or the MAC makes {!open_} return [Error `Mac_mismatch]. *)
+    ChaCha20-Poly1305 as RFC 8439 §2.8 composes it: the Poly1305 one-time
+    key is ChaCha20 block 0 under (key, IV), the payload is encrypted from
+    block 1, and the tag covers [aad | pad16 | ct | pad16 | le64 len(aad) |
+    le64 len(ct)]. Its sizes are the ones Treaty's message layout prescribes
+    (§VII-A): a 12-byte IV and a 16-byte MAC. Tampering with the IV, the
+    associated data, the ciphertext or the MAC makes {!open_} return
+    [Error `Mac_mismatch].
+
+    A (key, IV) pair must never seal two messages: that leaks the XOR of
+    the plaintexts and lets an observer forge Poly1305 tags. {!Iv_gen}
+    hands out the IVs. *)
 
 type key
 
@@ -17,8 +24,11 @@ val overhead : int
 (** [iv_size + mac_size]: bytes added by {!seal_packed}. *)
 
 val key_of_string : string -> key
-(** Derive an AEAD key (independent cipher and MAC subkeys) from arbitrary
-    key material. *)
+(** Derive a 256-bit AEAD key from arbitrary key material (SHA-256 under a
+    fixed label). *)
+
+val key_of_raw : string -> key
+(** Use a 32-byte string as the key as is (the RFC 8439 test vectors). *)
 
 val seal : key -> iv:string -> ?aad:string -> string -> string * string
 (** [seal k ~iv ~aad pt] is [(ciphertext, mac)]. The IV must be unique per
@@ -58,8 +68,8 @@ val tag_region :
   ct_off:int ->
   ct_len:int ->
   string
-(** 16-byte truncated tag over [iv], the AAD region and the ciphertext
-    region of one buffer (length-framed like {!seal}). *)
+(** 16-byte Poly1305 tag over the AAD region and the ciphertext region of
+    one buffer, under the one-time key for [iv] (the {!seal} transcript). *)
 
 val check_region :
   key ->
@@ -73,13 +83,20 @@ val check_region :
   bool
 (** Timing-safe verification of {!tag_region}. *)
 
-(** Deterministic IV generator: a per-key 96-bit counter, never reused. *)
+(** Deterministic IV generator. An IV is [node id (4 B) | counter (5 B) |
+    incarnation (3 B)], so it is unique across the nodes sharing a key and
+    across the lives of one node's enclave. *)
 module Iv_gen : sig
   type t
 
+  val make : node_id:int -> incarnation:int -> t
+  (** [incarnation] (below 2{^24}) must differ between two generators with
+      the same [node_id] that seal under the same key — a restarted enclave
+      takes a fresh one, since its counter starts again at 0. *)
+
   val create : node_id:int -> t
-  (** Node id is mixed into the IV so distinct nodes sharing a network key
-      never collide. *)
+  (** [make ~node_id ~incarnation:0]: for a generator that is the only one
+      ever made for [node_id] under its key. *)
 
   val next : t -> string
   (** A fresh, unique 12-byte IV. *)

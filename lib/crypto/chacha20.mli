@@ -1,7 +1,7 @@
 (** ChaCha20 stream cipher (RFC 8439).
 
-    Used as the confidentiality half of the {!Aead} construction. Pure OCaml,
-    from scratch. *)
+    The cipher of the {!Aead} construction, which also takes the Poly1305
+    one-time key from block 0. Pure OCaml, from scratch. *)
 
 val key_size : int
 (** 32 bytes. *)
@@ -21,5 +21,5 @@ val xor_into :
     the burst-level wire path avoids a per-sub-message cipher setup. *)
 
 val block : key:string -> nonce:string -> counter:int -> string
-(** One raw 64-byte keystream block (exposed for tests against the RFC
-    vectors). *)
+(** One raw 64-byte keystream block: {!Aead}'s Poly1305 key source, and
+    the RFC test vectors. *)

@@ -38,18 +38,6 @@ let mac_bytes t buf off len =
   Sha256.update ctx buf off len;
   finish t ctx
 
-type stream = { s_outer : Sha256.ctx; s_inner : Sha256.ctx }
-
-let stream t = { s_outer = t.outer; s_inner = Sha256.copy t.inner }
-let feed_string s data = Sha256.update_string s.s_inner data
-let feed_bytes s buf off len = Sha256.update s.s_inner buf off len
-
-let stream_mac s =
-  let inner_digest = Sha256.finalize s.s_inner in
-  let outer_ctx = Sha256.copy s.s_outer in
-  Sha256.update_string outer_ctx inner_digest;
-  Sha256.finalize outer_ctx
-
 let equal_tags a b =
   String.length a = String.length b
   && begin

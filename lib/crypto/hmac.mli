@@ -18,26 +18,6 @@ val mac_parts : t -> string list -> string
 
 val mac_bytes : t -> bytes -> int -> int -> string
 
-(** {2 Incremental MACs}
-
-    A [stream] absorbs discontiguous byte regions without concatenating
-    them — the burst-level wire path MACs [iv || framing || ciphertext]
-    straight out of the packet buffer. A stream is one-shot: after
-    {!stream_mac} it must not be fed again. *)
-
-type stream
-
-val stream : t -> stream
-(** Start from the precomputed keyed inner state (one ctx copy, no key
-    reprocessing). *)
-
-val feed_string : stream -> string -> unit
-val feed_bytes : stream -> bytes -> int -> int -> unit
-(** [feed_bytes s buf off len] absorbs [buf.[off .. off+len)]. *)
-
-val stream_mac : stream -> string
-(** Finalize: the 32-byte tag over everything fed so far. *)
-
 val verify : t -> string -> tag:string -> bool
 (** Constant-shape comparison of a full 32-byte tag. *)
 

@@ -39,68 +39,103 @@ let init () =
     w = Array.make 64 0;
   }
 
+(* The message schedule is scratch that every [compress] rewrites in full
+   before reading, so a copy shares it instead of allocating its own — an
+   HMAC copies two contexts per tag. *)
 let copy c =
   {
     h = Array.copy c.h;
     buf = Bytes.copy c.buf;
     buf_len = c.buf_len;
     total = c.total;
-    w = Array.make 64 0;
+    w = c.w;
   }
 
 let mask = 0xffffffff
 
-let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* Rotation of a clean 32-bit word. It leaves junk above bit 31: every
+   caller XORs rotations together and masks after the next addition, which
+   only the low 32 bits feed. *)
+let[@inline] rotr x n = (x lsr n) lor (x lsl (32 - n))
 
+external get32_ne : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+(* Big-endian 32-bit load without boxing the int32. *)
+let[@inline] be32 b off =
+  let v = get32_ne b off in
+  Int32.to_int (if Sys.big_endian then v else swap32 v) land mask
+
+let[@inline] sigma0 a = rotr a 2 lxor rotr a 13 lxor rotr a 22
+let[@inline] sigma1 e = rotr e 6 lxor rotr e 11 lxor rotr e 25
+let[@inline] ch e f g = e land f lxor (lnot e land g)
+let[@inline] maj a b c = a land b lxor (a land c) lxor (b land c)
+
+(* Round constant plus schedule word; [i < 64] by construction. *)
+let[@inline] kw w i = Array.unsafe_get k i + Array.unsafe_get w i
+
+(* The 64 rounds, eight per call, with the working variables a..h as
+   let-bound arguments of a tail call so they stay in registers. Unrolling
+   by eight renames the variables instead of shifting them every round. The
+   last step adds them into the chaining state [st]. *)
+let rec rounds i a b c d e f g h w st =
+  if i = 64 then begin
+    Array.unsafe_set st 0 ((Array.unsafe_get st 0 + a) land mask);
+    Array.unsafe_set st 1 ((Array.unsafe_get st 1 + b) land mask);
+    Array.unsafe_set st 2 ((Array.unsafe_get st 2 + c) land mask);
+    Array.unsafe_set st 3 ((Array.unsafe_get st 3 + d) land mask);
+    Array.unsafe_set st 4 ((Array.unsafe_get st 4 + e) land mask);
+    Array.unsafe_set st 5 ((Array.unsafe_get st 5 + f) land mask);
+    Array.unsafe_set st 6 ((Array.unsafe_get st 6 + g) land mask);
+    Array.unsafe_set st 7 ((Array.unsafe_get st 7 + h) land mask)
+  end
+  else begin
+    let t1 = h + sigma1 e + ch e f g + kw w (i + 0) in
+    let d = (d + t1) land mask in
+    let h = (t1 + sigma0 a + maj a b c) land mask in
+    let t1 = g + sigma1 d + ch d e f + kw w (i + 1) in
+    let c = (c + t1) land mask in
+    let g = (t1 + sigma0 h + maj h a b) land mask in
+    let t1 = f + sigma1 c + ch c d e + kw w (i + 2) in
+    let b = (b + t1) land mask in
+    let f = (t1 + sigma0 g + maj g h a) land mask in
+    let t1 = e + sigma1 b + ch b c d + kw w (i + 3) in
+    let a = (a + t1) land mask in
+    let e = (t1 + sigma0 f + maj f g h) land mask in
+    let t1 = d + sigma1 a + ch a b c + kw w (i + 4) in
+    let h = (h + t1) land mask in
+    let d = (t1 + sigma0 e + maj e f g) land mask in
+    let t1 = c + sigma1 h + ch h a b + kw w (i + 5) in
+    let g = (g + t1) land mask in
+    let c = (t1 + sigma0 d + maj d e f) land mask in
+    let t1 = b + sigma1 g + ch g h a + kw w (i + 6) in
+    let f = (f + t1) land mask in
+    let b = (t1 + sigma0 c + maj c d e) land mask in
+    let t1 = a + sigma1 f + ch f g h + kw w (i + 7) in
+    let e = (e + t1) land mask in
+    let a = (t1 + sigma0 b + maj b c d) land mask in
+    rounds (i + 8) a b c d e f g h w st
+  end
+
+(* [block.[off .. off+64)] is in bounds: [update] checks its region and
+   only hands whole blocks here. *)
 let compress ctx block off =
   let w = ctx.w in
   for i = 0 to 15 do
-    let j = off + (i * 4) in
-    w.(i) <-
-      (Char.code (Bytes.unsafe_get block j) lsl 24)
-      lor (Char.code (Bytes.unsafe_get block (j + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get block (j + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get block (j + 3))
+    Array.unsafe_set w i (be32 block (off + (i * 4)))
   done;
   for i = 16 to 63 do
-    let w15 = w.(i - 15) and w2 = w.(i - 2) in
+    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
     let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
     let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
+      land mask)
   done;
   let h = ctx.h in
-  let a = ref h.(0)
-  and b = ref h.(1)
-  and c = ref h.(2)
-  and d = ref h.(3)
-  and e = ref h.(4)
-  and f = ref h.(5)
-  and g = ref h.(6)
-  and hh = ref h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = !e land !f lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = !a land !b lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
-    hh := !g;
-    g := !f;
-    f := !e;
-    e := (!d + t1) land mask;
-    d := !c;
-    c := !b;
-    b := !a;
-    a := (t1 + t2) land mask
-  done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  rounds 0 (Array.unsafe_get h 0) (Array.unsafe_get h 1) (Array.unsafe_get h 2)
+    (Array.unsafe_get h 3) (Array.unsafe_get h 4) (Array.unsafe_get h 5)
+    (Array.unsafe_get h 6) (Array.unsafe_get h 7) w h
 
 let update ctx src off len =
   if off < 0 || len < 0 || off + len > Bytes.length src then

@@ -53,7 +53,6 @@ type t = {
   pool : Mempool.t;
   config : config;
   node_id : int;
-  iv_gen : Treaty_crypto.Aead.Iv_gen.t;
   handlers : (int, Secure_msg.meta -> string -> string) Hashtbl.t;
   pending : (int, (string, error) result Sim.ivar) Hashtbl.t;
   dedup : (int * int * int, dedup_entry) Hashtbl.t;
@@ -68,7 +67,7 @@ type t = {
   mutable alive : bool;
   outq : (int, (Secure_msg.meta * string) list ref) Hashtbl.t;
       (* dst -> plaintext messages (newest first) awaiting the doorbell;
-         sealing happens at flush, once per packet in v2. *)
+         sealing happens at flush, once per packet. *)
   mutable doorbell_active : bool;
   stats : stats;
 }
@@ -78,7 +77,7 @@ let crypto_charge t ~bytes =
   | Secure_msg.Plain -> ()
   | Secure_msg.Secure _ -> Enclave.charge_crypto t.enclave ~bytes
 
-(* Packet envelope v2: the whole burst framed into one mempool-backed buffer
+(* Packet envelope: the whole burst framed into one mempool-backed buffer
    and sealed with a single packet-level AEAD — one IV, one keystream pass,
    one MAC, one crypto charge per packet instead of per sub-message. The
    buffer lives in untrusted host memory (never the EPC, §VII-A) for exactly
@@ -93,8 +92,8 @@ let encode_packet t msgs =
     (fun () ->
       crypto_charge t ~bytes:size;
       let n =
-        Secure_msg.Burst.encode_into t.config.security ~iv_gen:t.iv_gen
-          buf.Mempool.bytes msgs
+        Secure_msg.Burst.encode_into t.config.security
+          ~iv_gen:(Enclave.iv_gen t.enclave) buf.Mempool.bytes msgs
       in
       Bytes.sub_string buf.Mempool.bytes 0 n)
 
@@ -273,8 +272,8 @@ let dispatch_decoded t (meta : Secure_msg.meta) data =
 
 let rx_malformed t (pkt : Treaty_netsim.Packet.t) =
   (* Packet framing destroyed by tampering, or an envelope version other
-     than the burst packet (e.g. the retired v1 per-message framing):
-     nothing inside is accepted. *)
+     than the burst packet (the retired v1 per-message framing, or the v2
+     HMAC-tagged seal): nothing inside is accepted. *)
   Transport.charge t.config.params t.enclave t.config.transport ~rpc_layer:true
     ~dir:`Rx ~bytes:pkt.size;
   t.stats.mac_failures <- t.stats.mac_failures + 1
@@ -290,8 +289,8 @@ let on_packet t (pkt : Treaty_netsim.Packet.t) =
         if String.length pkt.payload = 0 then rx_malformed t pkt
         else
           match Char.code pkt.payload.[0] with
-          | 2 -> (
-              (* v2 packet: verify and decrypt ONCE for the whole burst,
+          | v when v = Secure_msg.Burst.version -> (
+              (* Burst packet: verify and decrypt ONCE for the whole burst,
                  then hand out plaintext sub-message views. *)
               match Secure_msg.Burst.decode t.config.security pkt.payload with
               | Error (`Tampered | `Malformed) ->
@@ -321,7 +320,6 @@ let create sim ~net ~enclave ~pool ~config ~node_id ?net_config () =
       pool;
       config;
       node_id;
-      iv_gen = Treaty_crypto.Aead.Iv_gen.create ~node_id;
       handlers = Hashtbl.create 16;
       pending = Hashtbl.create 64;
       dedup = Hashtbl.create 256;

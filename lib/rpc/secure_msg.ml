@@ -116,8 +116,8 @@ let encode security ~iv_gen m data =
       encode_meta_into b hdr m;
       Bytes.blit_string data 0 b (hdr + meta_size) data_len;
       taint_data data;
-      (* Encrypt-then-MAC in place: same transcript as [Aead.seal] with
-         empty AAD, so the wire format is unchanged. *)
+      (* Encrypt, then tag, in place: the same transcript as [Aead.seal]
+         with empty AAD. *)
       Aead.xor_region key ~iv b ~off:hdr ~len:pt_len;
       let mac =
         Aead.tag_region key ~iv b ~aad_off:0 ~aad_len:0 ~ct_off:hdr ~ct_len:pt_len
@@ -168,7 +168,7 @@ let decode security wire =
       end
 
 module Burst = struct
-  let version = 2
+  let version = 3
 
   let header_size security ~msgs =
     match security with
@@ -182,9 +182,9 @@ module Burst = struct
     + bodies
     + (match security with Plain -> 0 | Secure _ -> Aead.mac_size)
 
-  (* Packet layout (v2):
+  (* Packet layout (v3):
 
-     {v 0x02 | IV (12 B, Secure) | count (4 B) | len_0..len_n-1 (4 B each)
+     {v 0x03 | IV (12 B, Secure) | count (4 B) | len_0..len_n-1 (4 B each)
         | enc( meta_0|data_0 | ... | meta_n-1|data_n-1 ) | MAC (16 B, Secure) v}
 
      The whole header — version byte, IV, count and the sub-message length

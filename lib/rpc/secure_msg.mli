@@ -43,14 +43,14 @@ val decode :
 val wire_size : security -> data_len:int -> int
 (** Size of the encoded message for a payload of [data_len] bytes. *)
 
-(** Packet envelope format v2: burst-level AEAD.
+(** Packet envelope format v3: burst-level AEAD.
 
     A whole eRPC burst becomes ONE sealed packet —
 
-    {v 0x02 | IV (12 B) | count (4 B) | len_i (4 B each)
+    {v 0x03 | IV (12 B) | count (4 B) | len_i (4 B each)
        | enc( meta_0|data_0 | ... ) | MAC (16 B) v}
 
-    — one IV, one ChaCha20 keystream pass and one HMAC per packet instead
+    — one IV, one ChaCha20 keystream pass and one Poly1305 tag per packet instead
     of per sub-message. The version byte, IV, count and the sub-message
     length table form the AAD of the packet-level AEAD: tampering with any
     framing length or body byte fails the single MAC and rejects the whole
@@ -61,8 +61,10 @@ val wire_size : security -> data_len:int -> int
     and hands out per-message views. *)
 module Burst : sig
   val version : int
-  (** Leading packet byte: [2]. (The retired v1 per-message envelope led
-      with [1]; endpoints reject it.) *)
+  (** Leading packet byte: [3], the ChaCha20-Poly1305 seal. Endpoints
+      reject the retired envelopes: v1 (leading [1], per-message seals) and
+      v2 (leading [2], the same framing under ChaCha20 + truncated
+      HMAC-SHA256). *)
 
   val wire_size : security -> data_lens:int list -> int
   (** Exact packet size for a burst whose payloads have the given sizes. *)

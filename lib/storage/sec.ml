@@ -7,7 +7,6 @@ type t = {
   enclave : Enclave.t;
   auth : bool;
   enc : Aead.key option;
-  iv_gen : Aead.Iv_gen.t;
   mac_root : Treaty_crypto.Hmac.t;
 }
 
@@ -17,7 +16,6 @@ let create ~enclave ~auth ~enc () =
     enclave;
     auth;
     enc;
-    iv_gen = Aead.Iv_gen.create ~node_id:node;
     mac_root =
       Treaty_crypto.Hmac.create
         (Treaty_crypto.Sha256.digest_string (Printf.sprintf "log-mac-root:%d" node));
@@ -32,7 +30,9 @@ let protect t data =
   | None -> data
   | Some key ->
       Enclave.charge_crypto t.enclave ~bytes:(String.length data);
-      Aead.seal_packed key ~iv:(Aead.Iv_gen.next t.iv_gen) data
+      Aead.seal_packed key
+        ~iv:(Aead.Iv_gen.next (Enclave.iv_gen t.enclave))
+        data
 
 let unprotect t data =
   match t.enc with

@@ -28,7 +28,7 @@ type t = {
   mutable master : Treaty_crypto.Keys.master option;
 }
 
-let create sim ~mode ~cost ~cores ~node_id ~code_identity =
+let create ?(incarnation = 0) sim ~mode ~cost ~cores ~node_id ~code_identity =
   {
     sim;
     mode;
@@ -38,7 +38,7 @@ let create sim ~mode ~cost ~cores ~node_id ~code_identity =
     measurement = Treaty_crypto.Sha256.digest_string code_identity;
     seal_key =
       Treaty_crypto.Aead.key_of_string (Printf.sprintf "fuse-key:%d" node_id);
-    iv_gen = Treaty_crypto.Aead.Iv_gen.create ~node_id;
+    iv_gen = Treaty_crypto.Aead.Iv_gen.make ~node_id ~incarnation;
     stats = { syscalls = 0; transitions = 0; page_faults = 0; compute_ns = 0; crypto_ns = 0 };
     epc_used = 0;
     host_used = 0;
@@ -145,3 +145,5 @@ let seal t data =
 
 let unseal t sealed =
   Treaty_crypto.Aead.open_packed t.seal_key ~aad:t.measurement sealed
+
+let iv_gen t = t.iv_gen

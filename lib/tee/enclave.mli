@@ -29,6 +29,7 @@ type stats = {
 type t
 
 val create :
+  ?incarnation:int ->
   Treaty_sim.Sim.t ->
   mode:mode ->
   cost:Treaty_sim.Costmodel.t ->
@@ -36,6 +37,10 @@ val create :
   node_id:int ->
   code_identity:string ->
   t
+(** [incarnation] (default 0) numbers this launch of the enclave: a node
+    restarted, or a client id connected again, gets a launch number no
+    earlier enclave of the same [node_id] had under the same keys, so the
+    IVs of {!iv_gen} never repeat. *)
 
 val sim : t -> Treaty_sim.Sim.t
 val mode : t -> mode
@@ -107,3 +112,8 @@ val seal : t -> string -> string
     measurement as associated data). *)
 
 val unseal : t -> string -> (string, [ `Mac_mismatch | `Truncated ]) result
+
+val iv_gen : t -> Treaty_crypto.Aead.Iv_gen.t
+(** The enclave's one IV generator, keyed on (node id, incarnation). Every
+    seal made inside the enclave draws from it — under the sealing key, the
+    network key and the storage key alike. *)

@@ -604,6 +604,54 @@ let committed_data_survives_crash () =
       | Error e -> Alcotest.failf "durability: %s" (Types.abort_reason_to_string e));
       Client.disconnect c)
 
+(* Every burst packet between nodes and clients of a secure cluster is
+   sealed under the one network key, so no two may carry the same IV. A
+   restarted node and a client id that connects again both start their IV
+   counters over; the launch number stamped into the IV keeps them off the
+   IVs their earlier lives used. *)
+let ivs_fresh_across_restart () =
+  with_cluster ~route:explicit_route (fun _sim cluster ->
+      let net = Cluster.net cluster in
+      Net.capture net ~limit:100_000;
+      let commit c keys =
+        match
+          Client.with_txn c (fun txn ->
+              put_all c txn (List.map (fun k -> (k, "v")) keys))
+        with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "commit: %s" (Types.abort_reason_to_string e)
+      in
+      let session () =
+        let c = Client.connect_exn cluster ~client_id:1 in
+        for i = 1 to 5 do
+          commit c
+            [ Printf.sprintf "node1:k%d" i; Printf.sprintf "node2:k%d" i ]
+        done;
+        Client.disconnect c
+      in
+      session ();
+      Cluster.crash_node cluster 1;
+      (match Cluster.restart_node cluster 1 with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "restart: %s" m);
+      session ();
+      let seen = Hashtbl.create 4096 and sealed = ref 0 and repeats = ref 0 in
+      List.iter
+        (fun (pkt : Treaty_netsim.Packet.t) ->
+          if
+            pkt.src <> Cluster.cas_id && pkt.dst <> Cluster.cas_id
+            && String.length pkt.payload > 13
+            && Char.code pkt.payload.[0] = Treaty_rpc.Secure_msg.Burst.version
+          then begin
+            incr sealed;
+            let iv = String.sub pkt.payload 1 12 in
+            if Hashtbl.mem seen iv then incr repeats
+            else Hashtbl.replace seen iv ()
+          end)
+        (Net.captured net);
+      Alcotest.(check bool) "sealed packets captured" true (!sealed > 100);
+      Alcotest.(check int) "repeated (network key, IV) pairs" 0 !repeats)
+
 (* Crash a participant between prepare and commit: the coordinator's stable
    decision must drive it to commit on recovery. *)
 let participant_crash_mid_2pc () =
@@ -821,6 +869,8 @@ let suite =
     Alcotest.test_case "read-only waits for in-flight writer" `Quick
       ro_waits_for_inflight_writer;
     Alcotest.test_case "committed data survives crash" `Quick committed_data_survives_crash;
+    Alcotest.test_case "IVs stay fresh across restarts" `Quick
+      ivs_fresh_across_restart;
     Alcotest.test_case "participant crash mid-2PC" `Slow participant_crash_mid_2pc;
     Alcotest.test_case "coordinator crash before decision" `Slow
       coordinator_crash_before_decision_aborts;

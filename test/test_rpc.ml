@@ -277,7 +277,7 @@ let rpc_burst_coalescing () =
         true
         (sa.Erpc.bursts_sent < sa.Erpc.burst_msgs))
 
-(* --- burst envelope (v2) ------------------------------------------------ *)
+(* --- burst envelope (v3) ------------------------------------------------ *)
 
 let mk_meta i =
   {
@@ -291,7 +291,7 @@ let mk_meta i =
   }
 
 let burst_roundtrip_equiv =
-  (* Property: a burst sealed as one v2 packet decodes to exactly the
+  (* Property: a burst sealed as one packet decodes to exactly the
      (meta, data) list that per-message v1 seal/decode yields — the batched
      crypto changes the wire format, never the delivered messages. *)
   QCheck.Test.make ~name:"burst seal/decode = per-message seal/decode"
@@ -410,6 +410,38 @@ let rpc_v1_envelope_rejected () =
           Alcotest.(check int) "handler ran once" 1 !executions
       | Error _ -> Alcotest.fail "burst-sealed call after v1 packet failed")
 
+let rpc_v2_envelope_rejected () =
+  (* The v2 envelope had today's framing under a ChaCha20 + truncated
+     HMAC-SHA256 seal; its leading byte 0x02 no longer names a format the
+     endpoint accepts. A packet led by it is one MAC failure and runs no
+     handler. *)
+  let key = Aead.key_of_string "net" in
+  let security = Secure_msg.Secure key in
+  with_pair ~security (fun sim net a b ->
+      let executions = ref 0 in
+      Erpc.register b ~kind:1 (fun _ payload ->
+          incr executions;
+          "ok:" ^ payload);
+      let msgs =
+        [ ({ (mk_meta 1) with Secure_msg.kind = 1; is_response = false }, "legacy") ]
+      in
+      let buf =
+        Bytes.create (Secure_msg.Burst.wire_size security ~data_lens:[ 6 ])
+      in
+      ignore
+        (Secure_msg.Burst.encode_into security
+           ~iv_gen:(Aead.Iv_gen.create ~node_id:9) buf msgs);
+      Bytes.set buf 0 '\x02';
+      let before = (Erpc.stats b).mac_failures in
+      Net.send net ~src:1 ~dst:2 (Bytes.to_string buf);
+      Sim.sleep sim 5_000_000;
+      Alcotest.(check int) "v2 packet counted as one MAC failure" (before + 1)
+        (Erpc.stats b).mac_failures;
+      Alcotest.(check int) "no handler ran" 0 !executions;
+      match Erpc.call a ~dst:2 ~kind:1 "v3" with
+      | Ok r -> Alcotest.(check string) "current envelope served" "ok:v3" r
+      | Error _ -> Alcotest.fail "call after v2 packet failed")
+
 let suite =
   [
     Alcotest.test_case "secure message roundtrip" `Quick secure_msg_roundtrip;
@@ -432,4 +464,6 @@ let suite =
       burst_tamper_whole_packet;
     Alcotest.test_case "v1 envelope packets are rejected" `Quick
       rpc_v1_envelope_rejected;
+    Alcotest.test_case "v2 envelope packets are rejected" `Quick
+      rpc_v2_envelope_rejected;
   ]

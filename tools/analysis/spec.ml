@@ -33,6 +33,7 @@ let production =
        outputs are safe for the host to see. Taint registration itself is
        the runtime counterpart of this pass, not a leak. *)
     prefixed "Treaty_crypto.Aead." name
+    || prefixed "Treaty_crypto.Poly1305." name
     || prefixed "Treaty_crypto.Hmac." name
     || prefixed "Treaty_crypto.Sha256." name
     || prefixed "Treaty_crypto.Taint." name

@@ -9,8 +9,9 @@
 
    Rules:
 
-   - crypto-primitive: the cipher/MAC primitives (Chacha20, Hmac) may only
-     be touched inside lib/crypto; everything else goes through Aead/Keys.
+   - crypto-primitive: the cipher/MAC primitives (Chacha20, Poly1305, Hmac)
+     may only be touched inside lib/crypto; everything else goes through
+     Aead/Keys.
    - untrusted-zone: code modelling the untrusted world (lib/netsim,
      lib/memalloc, lib/storage/ssd.ml) must never reference Keys or Aead —
      key material and sealing live on the enclave side of the boundary.
@@ -79,6 +80,9 @@ let lint ~path structure =
           [ ( "Chacha20",
               ( "crypto-primitive",
                 "cipher primitive is private to lib/crypto; use Aead" ) );
+            ( "Poly1305",
+              ( "crypto-primitive",
+                "one-time MAC is private to lib/crypto; use Aead" ) );
             ( "Hmac",
               ( "crypto-primitive",
                 "MAC primitive is private to lib/crypto; use Aead/Keys" ) )
@@ -266,6 +270,9 @@ let self_tests =
     ("lib/storage/engine.ml", "module H = Treaty_crypto.Hmac",
      [ "crypto-primitive" ]);
     ("lib/crypto/keys.ml", "let x = Hmac.mac k m", []);
+    ("lib/rpc/secure_msg.ml", "let t = Treaty_crypto.Poly1305.mac ~key m",
+     [ "crypto-primitive" ]);
+    ("lib/crypto/aead.ml", "let p = Poly1305.init otk", []);
     ("lib/netsim/net.ml", "let x = Keys.master_of_secret s",
      [ "untrusted-zone" ]);
     ("lib/storage/ssd.ml", "let x = Aead.seal", [ "untrusted-zone" ]);
