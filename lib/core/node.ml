@@ -1238,7 +1238,9 @@ let build_parts (deps : deps) ssd =
     end
   in
   let rote =
-    Rote.create_replica rpc ~group:deps.peers ~persist:rote_persist
+    Rote.create_replica rpc
+      ~group:(Rote.group ~self:deps.node_id ~peers:deps.peers)
+      ~persist:rote_persist
       ~restore:rote_restore ()
   in
   let counter_client =

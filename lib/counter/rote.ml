@@ -7,6 +7,21 @@ let kind_echo1 = 101
 let kind_echo2 = 102
 let kind_query = 103
 
+(* n = u + 2f + 1 with u = 0, f = 1: quorum u + f + 1 = 2. *)
+let group_size = 3
+
+let group ~self ~peers =
+  let ring = Array.of_list (List.sort_uniq Int.compare peers) in
+  let n = Array.length ring in
+  let rec index i =
+    if i = n then invalid_arg "Rote.group: self not in peers"
+    else if ring.(i) = self then i
+    else index (i + 1)
+  in
+  let i = index 0 in
+  let members = List.init (min n group_size) (fun j -> ring.((i + j) mod n)) in
+  List.filter (fun p -> List.mem p members) peers
+
 type stats = {
   mutable increments : int;
   mutable rounds : int;
@@ -249,5 +264,5 @@ let query t ~owner ~log =
       replies
   in
   let values = local_value t ~owner ~log :: values in
-  if List.length replies + 1 < t.quorum then Error `No_quorum
+  if List.length values < t.quorum then Error `No_quorum
   else Ok (List.fold_left max 0 values)

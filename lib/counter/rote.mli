@@ -12,11 +12,29 @@
     5. on a quorum of ACKs the SE seals its state; the value is durable
        against the crash of any minority of the group.
 
+    Each node owns one protection group of {!group_size} members (itself
+    and its two ring successors, {!group}); its counters are replicated
+    only there, so a round costs two peer calls at any cluster size.
+
     Counters are named by (owner node, log name) — one per authenticated log
     file. A counter value is *trusted* once incremented through the group:
     recovery asks the group ({!query}) and compares log tails against it. *)
 
 type replica
+
+val group_size : int
+(** Members of a protection group: ROTE's n = u + 2f + 1 with u = 0 and
+    f = 1, so the quorum [|group|/2 + 1] is u + f + 1 = 2. One crashed
+    member leaves the owner's rounds live; two make them fail with
+    [`No_quorum] (unavailable, never unsafe). *)
+
+val group : self:int -> peers:int list -> int list
+(** The protection group of node [self] in a cluster of node ids [peers]
+    ([self] included): [self] and its two successors on the ring of ids
+    sorted ascending, wrapping around. Members keep their order in
+    [peers], so with [List.length peers <= group_size] the result is
+    [peers] itself. Raises [Invalid_argument] if [self] is not in
+    [peers]. *)
 
 val kind_echo1 : int
 val kind_echo2 : int
@@ -78,4 +96,6 @@ val local_value : replica -> owner:int -> log:string -> int
 
 val query :
   replica -> owner:int -> log:string -> (int, [ `No_quorum ]) result
-(** Quorum read for recovery: the highest value any quorum member holds. *)
+(** Quorum read for recovery: the highest value any quorum member holds.
+    Only replies that decode to a value count toward the quorum (self
+    included). *)

@@ -7,6 +7,7 @@ open Treaty_core
 module Sim = Treaty_sim.Sim
 module Chaos = Treaty_chaos.Chaos
 module Schedule = Treaty_chaos.Schedule
+module Rote = Treaty_counter.Rote
 
 let schedule_deterministic () =
   let gen seed = Schedule.generate ~seed ~nodes:3 ~horizon_ns:600_000_000 in
@@ -140,6 +141,73 @@ let sweep_50_seeds () =
       Alcotest.failf "%d/50 seeds failed; first: seed %d: %s" (List.length fs)
         seed m
 
+(* True when [sched] has two distinct nodes down at overlapping times that
+   are both members of a third node's protection group: that owner has no
+   ROTE quorum while both are down. *)
+let starves_a_group (sched : Schedule.t) =
+  let peers = List.init sched.nodes (fun i -> i + 1) in
+  let crashes =
+    List.filter_map
+      (function
+        | Schedule.Crash_restart { node; at_ns; down_ns } ->
+            Some (node + 1, at_ns, at_ns + down_ns)
+        | _ -> None)
+      sched.faults
+  in
+  List.exists
+    (fun (a, a0, a1) ->
+      List.exists
+        (fun (b, b0, b1) ->
+          a < b && a0 < b1 && b0 < a1
+          && List.exists
+               (fun owner ->
+                 let g = Rote.group ~self:owner ~peers in
+                 owner <> a && owner <> b && List.mem a g && List.mem b g)
+               peers)
+        crashes)
+    crashes
+
+let sweep_6_nodes () =
+  (* At 6 nodes each protection group (owner + two ring successors) is a
+     proper subset of the cluster, so a crash takes out one or two thirds
+     of some groups rather than a share of one cluster-wide group. Seeds
+     41-52: 12 seeds, cc by parity as in the 50-seed sweep. Seeds 47 (OCC)
+     and 48 (2PL) crash two members of one group at overlapping times;
+     asserted below so the cell cannot silently lose that coverage. *)
+  let seeds = List.init 12 (fun i -> 41 + i) in
+  let config seed =
+    {
+      Chaos.default_config with
+      Chaos.cc = (if seed mod 2 = 0 then Types.Pessimistic else Types.Optimistic);
+      nodes = 6;
+    }
+  in
+  List.iter
+    (fun cc ->
+      Alcotest.(check bool)
+        "a schedule starves a group under each cc mode" true
+        (List.exists
+           (fun seed ->
+             (config seed).Chaos.cc = cc
+             && starves_a_group
+                  (Schedule.generate ~seed ~nodes:6
+                     ~horizon_ns:Chaos.default_config.Chaos.horizon_ns))
+           seeds))
+    [ Types.Pessimistic; Types.Optimistic ];
+  let failures =
+    List.filter_map
+      (fun seed ->
+        match Chaos.run_seed ~config:(config seed) ~seed () with
+        | Ok _ -> None
+        | Error m -> Some (seed, m))
+      seeds
+  in
+  match failures with
+  | [] -> ()
+  | (seed, m) :: _ ->
+      Alcotest.failf "%d/12 seeds failed; first: seed %d: %s"
+        (List.length failures) seed m
+
 let suite =
   [
     Alcotest.test_case "schedule generation is deterministic" `Quick
@@ -153,4 +221,6 @@ let suite =
       hundred_node_trace_identity;
     Alcotest.test_case "50-seed fault sweep holds all invariants" `Slow
       sweep_50_seeds;
+    Alcotest.test_case "6-node sweep: faults inside protection groups" `Slow
+      sweep_6_nodes;
   ]

@@ -12,6 +12,9 @@ module Engine = Treaty_storage.Engine
 module Memtable = Treaty_storage.Memtable
 module Op = Treaty_storage.Op
 module Latch = Treaty_sched.Scheduler.Latch
+module Rote = Treaty_counter.Rote
+module CC = Treaty_counter.Counter_client
+module Metrics = Treaty_obs.Metrics
 
 let tx coord seq = { Types.coord; seq }
 
@@ -726,6 +729,135 @@ let coordinator_crash_before_decision_aborts () =
       | Ok () -> Client.disconnect c
       | Error e -> Alcotest.failf "in-doubt tx inconsistent: %s" (Types.abort_reason_to_string e))
 
+(* --- bounded ROTE protection groups -------------------------------------- *)
+
+(* Eight nodes, so node 4's protection group {4, 5, 6} (itself and its two
+   ring successors) is a proper subset of the cluster. One crashed member
+   leaves node 4's stabilization live; two make it unavailable: its writes
+   abort with the typed reason, never commit silently, while owners whose
+   groups avoid the crashed pair keep committing. Once the members are back
+   the group still vouches for node 4's counters, and an older disk image
+   on node 4 is caught as a rollback. *)
+let bounded_group_faults () =
+  let sim = Sim.create () in
+  Metrics.reset ();
+  Metrics.enable ();
+  Fun.protect ~finally:(fun () ->
+      Metrics.disable ();
+      Metrics.reset ())
+  @@ fun () ->
+  Sim.run sim (fun () ->
+      let config = { (mk_config ()) with Config.nodes = 8 } in
+      match Cluster.create sim config ~route:explicit_route () with
+      | Error m -> Alcotest.failf "cluster bootstrap: %s" m
+      | Ok cluster ->
+          let k = 4 in
+          let idx id = id - 1 in
+          Alcotest.(check (list int))
+            "node 4's group" [ 4; 5; 6 ]
+            (Rote.group ~self:k ~peers:(Cluster.node_ids cluster));
+          let c = Client.connect_exn cluster ~client_id:1 in
+          let write node i =
+            Client.with_txn c ~coord:node (fun txn ->
+                put_all c txn [ (Printf.sprintf "node%d:k%d" node i, "v") ])
+          in
+          let expect_commit node i =
+            match write node i with
+            | Ok () -> ()
+            | Error e ->
+                Alcotest.failf "node %d write %d: %s" node i
+                  (Types.abort_reason_to_string e)
+          in
+          let node_k () = Cluster.node cluster (idx k) in
+          let cc () =
+            match Node.counter_client (node_k ()) with
+            | Some cc -> cc
+            | None -> Alcotest.fail "stabilization is off"
+          in
+          let expect_stabilized what =
+            Sim.sleep sim 50_000_000;
+            List.iter
+              (fun (log, last) ->
+                Alcotest.(check int)
+                  (Printf.sprintf "%s: %s stabilized" what log)
+                  last
+                  (CC.stable_value (cc ()) ~log))
+              (Engine.log_last_counters (Node.engine (node_k ())))
+          in
+          expect_commit k 1;
+          (* One member down: 2 of 3 is still a quorum. *)
+          Cluster.crash_node cluster (idx 5);
+          expect_commit k 2;
+          expect_stabilized "one member down";
+          let ssd = Cluster.node_ssd cluster (idx k) in
+          let older = Ssd.snapshot ssd in
+          expect_commit k 3;
+          expect_stabilized "after the snapshot";
+          let before = Engine.log_last_counters (Node.engine (node_k ())) in
+          let expect_trusted what =
+            List.iter
+              (fun (log, v) ->
+                match CC.trusted_for_recovery (cc ()) ~log with
+                | Ok t -> Alcotest.(check int) (what ^ ": trusted " ^ log) v t
+                | Error `No_quorum -> Alcotest.failf "%s: no quorum for %s" what log)
+              before
+          in
+          (* Both other members down: unavailable, not unsafe. *)
+          Cluster.crash_node cluster (idx 6);
+          let before_stats = Node.stats (node_k ()) in
+          let committed = before_stats.Node.committed
+          and aborted = before_stats.Node.aborted in
+          (* The client gives up after its 400 ms op timeout, before the
+             pump's retry budget runs out; the node then ends the commit
+             with the typed reason. *)
+          (match write k 4 with
+          | Error _ -> ()
+          | Ok () -> Alcotest.fail "committed without a group quorum");
+          Sim.sleep sim 500_000_000;
+          Alcotest.(check int) "no silent commit on node 4" committed
+            (Node.stats (node_k ())).Node.committed;
+          Alcotest.(check int) "node 4 aborted the write" (aborted + 1)
+            (Node.stats (node_k ())).Node.aborted;
+          Alcotest.(check int) "abort reason" 1
+            (Metrics.value "n4.abort.stabilization_unavailable");
+          List.iter (fun node -> expect_commit node 4) [ 1; 2; 3; 7; 8 ];
+          List.iter
+            (fun id ->
+              match Cluster.restart_node cluster (idx id) with
+              | Ok () -> ()
+              | Error m -> Alcotest.failf "restart node %d: %s" id m)
+            [ 5; 6 ];
+          expect_trusted "members restarted";
+          (* Node 4 itself restarts from its own disk: the group's values
+             match its log tails, and acknowledged writes survive. *)
+          Cluster.crash_node cluster (idx k);
+          (match Cluster.restart_node cluster (idx k) with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "restart node 4: %s" m);
+          expect_trusted "node 4 restarted";
+          (match
+             Client.with_txn c ~coord:k (fun txn ->
+                 match
+                   (Client.get c txn "node4:k1", Client.get c txn "node4:k3",
+                    Client.get c txn "node4:k4")
+                 with
+                 | Ok (Some "v"), Ok (Some "v"), Ok None -> Ok ()
+                 | _ -> Error Types.Integrity)
+           with
+          | Ok () -> ()
+          | Error e ->
+              Alcotest.failf "node 4 after restart: %s"
+                (Types.abort_reason_to_string e));
+          (* Rollback: the older image's logs and sealed counters lag the
+             values its group holds. *)
+          Cluster.crash_node cluster (idx k);
+          Ssd.restore ssd older;
+          (match Cluster.restart_node cluster (idx k) with
+          | Error _ -> ()
+          | Ok () -> Alcotest.fail "rollback of node 4's disk went undetected");
+          Client.disconnect c;
+          Cluster.shutdown cluster)
+
 (* --- security: end-to-end attacks ---------------------------------------- *)
 
 let rollback_attack_detected () =
@@ -874,6 +1006,8 @@ let suite =
     Alcotest.test_case "participant crash mid-2PC" `Slow participant_crash_mid_2pc;
     Alcotest.test_case "coordinator crash before decision" `Slow
       coordinator_crash_before_decision_aborts;
+    Alcotest.test_case "bounded ROTE group: crashes and rollback" `Quick
+      bounded_group_faults;
     Alcotest.test_case "rollback attack detected" `Quick rollback_attack_detected;
     Alcotest.test_case "storage tampering detected" `Quick storage_tamper_detected;
     Alcotest.test_case "CAS down blocks recovery" `Quick cas_down_blocks_recovery;

@@ -95,6 +95,71 @@ let recovery_query_from_peers () =
       | Ok v -> Alcotest.failf "peers returned %d" v
       | Error `No_quorum -> Alcotest.fail "quorum")
 
+let query_counts_only_values () =
+  (* Member 2 is down and member 3 answers queries with bytes that do not
+     decode to a value: only self's value is valid, short of the quorum of
+     2, so the query must not report a trusted value. *)
+  with_group (fun _sim group ->
+      let (_, r1), (rpc2, _), (rpc3, _) =
+        match group with [ a; b; c ] -> (a, b, c) | _ -> assert false
+      in
+      ignore (Rote.increment r1 ~owner:1 ~log:"WAL" ~value:9);
+      Erpc.shutdown rpc2;
+      Erpc.register rpc3 ~kind:Rote.kind_query (fun _meta _payload -> "bad");
+      match Rote.query r1 ~owner:1 ~log:"WAL" with
+      | Error `No_quorum -> ()
+      | Ok v -> Alcotest.failf "query reported %d from one valid reply" v)
+
+let ids n = List.init n (fun i -> i + 1)
+
+let group_membership () =
+  List.iter
+    (fun n ->
+      let peers = ids n in
+      List.iter
+        (fun self ->
+          let g = Rote.group ~self ~peers in
+          Alcotest.(check int)
+            (Printf.sprintf "N=%d node %d: size" n self)
+            (min n Rote.group_size) (List.length g);
+          Alcotest.(check bool)
+            (Printf.sprintf "N=%d node %d: contains self" n self)
+            true (List.mem self g))
+        peers)
+    [ 1; 2; 3; 4; 5; 8; 32; 100 ];
+  Alcotest.(check (list int)) "node 4 of 8" [ 4; 5; 6 ] (Rote.group ~self:4 ~peers:(ids 8));
+  Alcotest.(check (list int)) "node N wraps" [ 1; 2; 8 ] (Rote.group ~self:8 ~peers:(ids 8));
+  Alcotest.(check (list int)) "node N-1 wraps" [ 1; 7; 8 ] (Rote.group ~self:7 ~peers:(ids 8))
+
+let group_keeps_peer_order () =
+  let peers = [ 5; 2; 7; 1; 3 ] in
+  (* Ring 1 2 3 5 7: node 5's successors are 7 and 1 (wrapping). *)
+  Alcotest.(check (list int)) "order of peers" [ 5; 7; 1 ] (Rote.group ~self:5 ~peers);
+  Alcotest.(check (list int)) "order of peers" [ 2; 1; 3 ] (Rote.group ~self:1 ~peers);
+  List.iter
+    (fun peers ->
+      List.iter
+        (fun self ->
+          Alcotest.(check (list int)) "small cluster unchanged" peers
+            (Rote.group ~self ~peers))
+        peers)
+    [ [ 1 ]; [ 2; 1 ]; [ 3; 1; 2 ]; [ 1; 2; 3 ] ]
+
+let group_load_balanced () =
+  (* Every node protects exactly min(N, 3) owners, itself included. *)
+  List.iter
+    (fun n ->
+      let peers = ids n in
+      let groups = List.map (fun self -> Rote.group ~self ~peers) peers in
+      List.iter
+        (fun m ->
+          let count = List.length (List.filter (List.mem m) groups) in
+          Alcotest.(check int)
+            (Printf.sprintf "N=%d: node %d is in %d groups" n m count)
+            (min n Rote.group_size) count)
+        peers)
+    [ 1; 2; 3; 4; 6; 10; 33 ]
+
 let expect_stable what = function
   | Ok () -> ()
   | Error `Stability_timeout -> Alcotest.failf "%s: stability timeout" what
@@ -195,6 +260,10 @@ let suite =
     Alcotest.test_case "survives minority crash" `Quick survives_minority_crash;
     Alcotest.test_case "no quorum -> unavailable" `Quick no_quorum_fails;
     Alcotest.test_case "recovery queries the group" `Quick recovery_query_from_peers;
+    Alcotest.test_case "query quorum counts only values" `Quick query_counts_only_values;
+    Alcotest.test_case "group: size, self, wrap-around" `Quick group_membership;
+    Alcotest.test_case "group: peer order, small clusters" `Quick group_keeps_peer_order;
+    Alcotest.test_case "group: every node in min(N,3) groups" `Quick group_load_balanced;
     Alcotest.test_case "stabilization batches rounds" `Quick client_batches_rounds;
     Alcotest.test_case "waiters woken at watermark" `Quick client_wakes_waiters_in_order;
     Alcotest.test_case "epoch rounds span all logs" `Quick multi_log_epoch_rounds;
