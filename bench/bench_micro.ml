@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks (wall-clock, not simulated): the hot primitives
-   under all the figures — crypto, the skip list, the secure message codec
-   and the authenticated log record format. *)
+   under all the figures — crypto, the skip list, the MemTable's sealed
+   values, the secure message codec and the authenticated log record
+   format. *)
 
 open Bechamel
 open Toolkit
@@ -291,15 +292,37 @@ let run_crypto_per_txn () =
           ] );
     ]
 
-let run () =
-  Common.section "Micro-benchmarks (Bechamel, wall-clock)";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.4) ~kde:(Some 500) () in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]) instance raw) instances
-  in
-  let results = Analyze.merge (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]) instances results in
+(* One [Memtable.add] and one [get] of a 1 KiB value under an enc + auth
+   [Sec]: seal, bind, then check the binding and open. The MemTable charges
+   simulated time, so the row runs as the main fiber of a simulation; a
+   fresh table every 256 puts keeps host memory bounded. *)
+let memtable_put_get cfg instances =
+  Common.run_sim (fun sim ->
+      let enclave =
+        Treaty_tee.Enclave.create sim ~mode:Treaty_tee.Enclave.Scone
+          ~cost:Treaty_sim.Costmodel.default ~cores:1 ~node_id:3
+          ~code_identity:"micro"
+      in
+      let module S = Treaty_storage in
+      let sec = S.Sec.create ~enclave ~auth:true ~enc:(Some aead_key) () in
+      let mt = ref (S.Memtable.create sec) and seq = ref 0 in
+      let put_get () =
+        incr seq;
+        if !seq land 255 = 0 then begin
+          S.Memtable.release !mt;
+          mt := S.Memtable.create sec
+        end;
+        S.Memtable.add !mt ~key:"k" ~seq:!seq (S.Op.Put value_1k);
+        S.Memtable.get !mt ~key:"k" ~max_seq:!seq
+      in
+      Benchmark.all cfg instances
+        (Test.make_grouped ~name:"micro"
+           [ Test.make ~name:"memtable-put-get-1KiB" (Staged.stage put_get) ]))
+
+let print_estimates instances raw =
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
+  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
+  let results = Analyze.merge ols instances results in
   Hashtbl.iter
     (fun measure tbl ->
       if measure = Measure.label Instance.monotonic_clock then
@@ -309,7 +332,14 @@ let run () =
             | Some [ est ] -> Printf.printf "  %-28s %12.1f ns/op\n" name est
             | _ -> ())
           tbl)
-    results;
+    results
+
+let run () =
+  Common.section "Micro-benchmarks (Bechamel, wall-clock)";
+  let instances = Instance.[ monotonic_clock ] in
+  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.4) ~kde:(Some 500) () in
+  print_estimates instances (Benchmark.all cfg instances tests);
+  print_estimates instances (memtable_put_get cfg instances);
   let micro = run_crypto_per_txn () in
   let event_loop = run_event_loop () in
   Common.write_bench ~bench:"commit_pipeline" ~seed:crypto_seed

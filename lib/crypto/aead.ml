@@ -99,6 +99,37 @@ let open_packed key ?(aad = "") packed =
     else Error `Mac_mismatch
   end
 
+(* [iv | tag | le32 |ct|] of [iv | ct | tag]. *)
+let descriptor_size = overhead + 4
+
+let packed_descriptor packed =
+  let n = String.length packed - overhead in
+  if n < 0 then None
+  else begin
+    let d = Bytes.create descriptor_size in
+    Bytes.blit_string packed 0 d 0 iv_size;
+    Bytes.blit_string packed (iv_size + n) d iv_size mac_size;
+    Bytes.set_int32_le d overhead (Int32.of_int n);
+    Some (Bytes.unsafe_to_string d)
+  end
+
+let descriptor_matches packed d =
+  let n = String.length packed - overhead in
+  n >= 0
+  && String.length d = descriptor_size
+  && Int32.equal (String.get_int32_le d overhead) (Int32.of_int n)
+  && begin
+       let acc = ref 0 in
+       for i = 0 to iv_size - 1 do
+         acc := !acc lor (Char.code d.[i] lxor Char.code packed.[i])
+       done;
+       for i = 0 to mac_size - 1 do
+         acc :=
+           !acc lor (Char.code d.[iv_size + i] lxor Char.code packed.[iv_size + n + i])
+       done;
+       !acc = 0
+     end
+
 let xor_region key ~iv buf ~off ~len =
   check_iv iv;
   Chacha20.xor_into ~key ~nonce:iv buf ~off ~len

@@ -48,6 +48,24 @@ val seal_packed : key -> iv:string -> ?aad:string -> string -> string
 val open_packed :
   key -> ?aad:string -> string -> (string, [ `Mac_mismatch | `Truncated ]) result
 
+(** {2 Descriptors}
+
+    A {!seal_packed} blob's descriptor is [iv | mac | le32 ciphertext
+    length], 32 bytes. Because {!Iv_gen} never repeats an
+    IV under a key, it names one sealing: another validly sealed blob, even
+    of the same plaintext, has another descriptor, and the same descriptor
+    over other bytes fails {!open_packed}. Storage keeps it in the enclave
+    in place of a hash of the blob. *)
+
+val packed_descriptor : string -> string option
+(** The descriptor of a packed blob; [None] if it is shorter than
+    {!overhead}. *)
+
+val descriptor_matches : string -> string -> bool
+(** [descriptor_matches packed d]: [packed] is at least {!overhead} long
+    and its descriptor is [d]. The IV and MAC bytes are compared in time
+    independent of where they differ, without building the descriptor. *)
+
 (** {2 In-place region operations}
 
     The zero-copy wire path seals and opens whole packet regions inside a

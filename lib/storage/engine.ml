@@ -343,7 +343,7 @@ let level_files_overlapping files ~lo ~hi =
   List.rev !acc
 
 (* Fetch one block's decoded entries: through the verified block cache when
-   enabled (a hit skips the SSD read, hash check and decryption), reading
+   enabled (a hit skips the SSD read, binding check and decryption), reading
    and filling on a miss. The decrypted plaintext is enclave-resident and
    taint-registered: handing it to [Net.send] or a host-memory write is a
    TreatySan violation. *)

@@ -47,19 +47,23 @@ let name t = t.name
 let next_counter t = t.next_counter
 let last_counter t = t.next_counter - 1
 
-let chain_mac t ~counter ~payload ~prev =
+(* The chain MACs [counter | Sec.cover stored | prev]: a sealed entry is
+   covered by its descriptor (its tag covers the ciphertext and is checked
+   when {!replay} opens it), a plaintext entry by its bytes. The charge is
+   the model's hash over the whole entry either way. *)
+let chain_mac t ~counter ~stored ~prev =
   if Sec.auth t.sec then begin
     Treaty_tee.Enclave.charge_hash (Sec.enclave t.sec)
-      ~bytes:(String.length payload + 8 + mac_size);
+      ~bytes:(String.length stored + 8 + mac_size);
     let b = Buffer.create 16 in
     Wire.w64 b counter;
-    Hmac.mac_parts t.mac [ Buffer.contents b; payload; prev ]
+    Hmac.mac_parts t.mac [ Buffer.contents b; Sec.cover t.sec stored; prev ]
   end
   else String.make mac_size '\000'
 
 let encode_entry t ~counter payload =
   let stored = Sec.protect t.sec payload in
-  let mac = chain_mac t ~counter ~payload:stored ~prev:t.last_mac in
+  let mac = chain_mac t ~counter ~stored ~prev:t.last_mac in
   let b = Buffer.create (12 + String.length stored + mac_size) in
   Wire.w64 b counter;
   Wire.w32 b (String.length stored);
@@ -106,18 +110,18 @@ let replay t ?trusted () =
             ~bytes:(String.length stored + 12 + mac_size) ();
           Treaty_tee.Enclave.compute_untrusted enclave 800;
           if counter <> expected_counter then Error (`Tampered expected_counter)
-          else begin
-            let expected_mac = chain_mac t ~counter ~payload:stored ~prev:prev_mac in
-            if Sec.auth t.sec && not (Hmac.equal_tags mac expected_mac) then
-              Error (`Tampered counter)
-            else
-              match Sec.unprotect t.sec stored with
-              | exception Sec.Integrity_violation _ -> Error (`Tampered counter)
-              | payload ->
-                  go ((counter, payload) :: acc)
-                    (if Sec.auth t.sec then mac else prev_mac)
-                    (expected_counter + 1) (Wire.pos r)
-          end
+          else
+            match
+              let expected_mac = chain_mac t ~counter ~stored ~prev:prev_mac in
+              if Sec.auth t.sec && not (Hmac.equal_tags mac expected_mac) then
+                raise (Sec.Integrity_violation t.name);
+              Sec.unprotect t.sec ~what:t.name stored
+            with
+            | exception Sec.Integrity_violation _ -> Error (`Tampered counter)
+            | payload ->
+                go ((counter, payload) :: acc)
+                  (if Sec.auth t.sec then mac else prev_mac)
+                  (expected_counter + 1) (Wire.pos r)
   in
   match go [] t.genesis 1 0 with
   | Error e -> Error e

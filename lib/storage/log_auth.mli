@@ -7,7 +7,10 @@
     where the counter is "unique, monotonic and deterministically increased"
     (+1 per entry) and the MAC chains over the previous entry's MAC, so
     deletion, reordering or in-place modification of any prefix breaks the
-    chain. Freshness comes from outside: the trusted counter service (ROTE)
+    chain. The MAC covers [counter | Sec.cover payload | previous MAC]: an
+    encrypted payload is covered by its 32-byte AEAD descriptor ({!Sec}),
+    whose tag {!replay} checks over the ciphertext when it opens the entry;
+    a plaintext payload (auth-only mode) is covered by its bytes. Freshness comes from outside: the trusted counter service (ROTE)
     stores the highest *stabilized* counter per log, and {!replay} checks the
     log against it — a log whose tail is older than the trusted value is a
     rollback attack.

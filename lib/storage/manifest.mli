@@ -14,8 +14,8 @@ type file_meta = {
   footer_digest : string;
   footer_version : int;
       (** Footer format the file was written with ([Sstable.footer_version]
-          at build time): v2 carries the Bloom filter, v1 is the bare block
-          index. Recovery passes it to [Sstable.open_] so either decodes. *)
+          at build time). Recovery passes it to [Sstable.open_], which
+          refuses any version but the current one. *)
   min_key : string;
   max_key : string;
   max_seq : int;  (** Highest version in the file (sequence recovery). *)

@@ -3,7 +3,9 @@ module Enclave = Treaty_tee.Enclave
 type value_ref = {
   slot : int;
   stored_len : int;
-  vhash : string;
+  binding : string;
+      (* Sec.bind of the sealed value; SHA-256 of the plaintext when values
+         stay in the enclave. *)
   tombstone : bool;
 }
 
@@ -19,7 +21,7 @@ type t = {
   mutable released : bool;
 }
 
-(* Per-entry enclave footprint: key bytes + seq + value pointer + hash. *)
+(* Per-entry enclave footprint: key bytes + seq + value pointer + binding. *)
 let entry_overhead key = String.length key + 8 + 16 + 32
 
 let create ?(values_in_enclave = false) sec =
@@ -57,17 +59,24 @@ let add t ~key ~seq op =
      EPC, so plaintext there is fine). *)
   if not t.values_in_enclave then
     Treaty_crypto.Taint.check ~what:"memtable host write" stored;
-  let vhash = Sec.digest t.sec stored in
+  let binding =
+    if t.values_in_enclave then Sec.digest t.sec stored else Sec.bind t.sec stored
+  in
   let slot = Buffer.length t.host in
   Buffer.add_string t.host stored;
   charge_alloc t ~enclave_part:(entry_overhead key) ~value_part:(String.length stored);
   Skiplist.insert t.sl ~key ~seq
-    { slot; stored_len = String.length stored; vhash; tombstone }
+    { slot; stored_len = String.length stored; binding; tombstone }
+
+let what = "memtable value"
 
 let fetch t vref =
   let stored = Buffer.sub t.host vref.slot vref.stored_len in
-  Sec.check_digest t.sec ~what:"memtable value" ~data:stored ~expected:vref.vhash;
-  if t.values_in_enclave then stored else Sec.unprotect t.sec stored
+  if t.values_in_enclave then begin
+    Sec.check_digest t.sec ~what ~data:stored ~expected:vref.binding;
+    stored
+  end
+  else Sec.open_bound t.sec ~what ~binding:vref.binding stored
 
 let get t ~key ~max_seq =
   match Skiplist.find t.sl ~key ~max_seq with
@@ -100,11 +109,27 @@ let release t =
     Enclave.free_host e t.host_bytes
   end
 
+let rewrite_host t f =
+  let contents = Bytes.of_string (Buffer.contents t.host) in
+  f contents;
+  Buffer.clear t.host;
+  Buffer.add_bytes t.host contents
+
 let host_tamper t =
-  if Buffer.length t.host > 0 then begin
-    let contents = Bytes.of_string (Buffer.contents t.host) in
-    let i = Bytes.length contents / 2 in
-    Bytes.set contents i (Char.chr (Char.code (Bytes.get contents i) lxor 0x01));
-    Buffer.clear t.host;
-    Buffer.add_bytes t.host contents
-  end
+  if Buffer.length t.host > 0 then
+    rewrite_host t (fun contents ->
+        let i = Bytes.length contents / 2 in
+        Bytes.set contents i (Char.chr (Char.code (Bytes.get contents i) lxor 0x01)))
+
+let host_swap t k1 k2 =
+  let freshest key =
+    match Skiplist.find t.sl ~key ~max_seq:max_int with
+    | Some (_, vref) -> vref
+    | None -> invalid_arg ("Memtable.host_swap: no key " ^ key)
+  in
+  let a = freshest k1 and b = freshest k2 in
+  if a.stored_len <> b.stored_len then invalid_arg "Memtable.host_swap: lengths differ";
+  rewrite_host t (fun contents ->
+      let va = Bytes.sub contents a.slot a.stored_len in
+      Bytes.blit contents b.slot contents a.slot b.stored_len;
+      Bytes.blit va 0 contents b.slot a.stored_len)

@@ -34,15 +34,14 @@ let protect t data =
         ~iv:(Aead.Iv_gen.next (Enclave.iv_gen t.enclave))
         data
 
-let unprotect t data =
+let unprotect t ~what data =
   match t.enc with
   | None -> data
   | Some key -> (
       Enclave.charge_crypto t.enclave ~bytes:(String.length data);
       match Aead.open_packed key data with
       | Ok pt -> pt
-      | Error (`Mac_mismatch | `Truncated) ->
-          raise (Integrity_violation "encrypted payload failed authentication"))
+      | Error (`Mac_mismatch | `Truncated) -> raise (Integrity_violation what))
 
 let digest t data =
   if not t.auth then ""
@@ -60,5 +59,33 @@ let check_digest t ~what ~data ~expected =
             expected)
     then raise (Integrity_violation what)
   end
+
+let bind t stored =
+  if not t.auth then ""
+  else if not (encrypted t) then digest t stored
+  else begin
+    (* Charged as the hash SPEICHER computes, which the model reproduces. *)
+    Enclave.charge_hash t.enclave ~bytes:(String.length stored);
+    match Aead.packed_descriptor stored with
+    | Some d -> d
+    | None -> invalid_arg "Sec.bind: not a sealed blob"
+  end
+
+let open_bound t ~what ~binding stored =
+  if t.auth then
+    if not (encrypted t) then check_digest t ~what ~data:stored ~expected:binding
+    else begin
+      Enclave.charge_hash t.enclave ~bytes:(String.length stored);
+      if not (Aead.descriptor_matches stored binding) then
+        raise (Integrity_violation what)
+    end;
+  unprotect t ~what stored
+
+let cover t stored =
+  if not (encrypted t) then stored
+  else
+    match Aead.packed_descriptor stored with
+    | Some d -> d
+    | None -> raise (Integrity_violation "sealed blob too short")
 
 let mac_key t name = Treaty_crypto.Hmac.create (Treaty_crypto.Hmac.mac t.mac_root name)

@@ -7,15 +7,14 @@ type block_meta = {
   last_key : string;
   offset : int;
   length : int;
-  bhash : string;
+  binding : string;  (* Sec.bind of the sealed block *)
 }
 
 type handle = {
   file_id : int;
   name : string;
   index : block_meta array;
-  bloom : Bloom.t option;  (* None for format-v1 files: always "maybe" *)
-  version : int;
+  bloom : Bloom.t;
   hmin_key : string;
   hmax_key : string;
   data_bytes : int;
@@ -23,7 +22,7 @@ type handle = {
 
 let file_name ~file_id = Printf.sprintf "sst-%06d" file_id
 let magic = "TRTYSSTB"
-let footer_version = 2
+let footer_version = 3
 
 let encode_block entries =
   let b = Buffer.create 4096 in
@@ -52,7 +51,7 @@ let encode_index b index =
       Wire.wstr b m.last_key;
       Wire.w64 b m.offset;
       Wire.w64 b m.length;
-      Wire.wstr b m.bhash)
+      Wire.wstr b m.binding)
     (Array.to_list index)
 
 let decode_index r =
@@ -61,15 +60,15 @@ let decode_index r =
       let last_key = Wire.rstr r in
       let offset = Wire.r64 r in
       let length = Wire.r64 r in
-      let bhash = Wire.rstr r in
-      { first_key; last_key; offset; length; bhash })
+      let binding = Wire.rstr r in
+      { first_key; last_key; offset; length; binding })
   |> Array.of_list
 
-(* Footer format v2 (PR 5): a version tag, the Bloom filter over the user
-   keys, then the block index. v1 footers are the bare index list — still
-   decoded for files recorded with [footer_version = 1] in the MANIFEST.
-   Either way the whole footer is covered by the digest in [Add_file], so
-   the filter is as tamper-evident as the index. *)
+(* Footer format v3: a version tag, the Bloom filter over the user keys,
+   then the block index, whose entries bind each block by its AEAD
+   descriptor (v2 bound them by SHA-256; the layout is the same). The
+   whole footer is covered by the digest in [Add_file], so the filter is
+   as tamper-evident as the index. *)
 let encode_footer bloom index =
   let b = Buffer.create 1024 in
   Wire.w8 b footer_version;
@@ -77,17 +76,13 @@ let encode_footer bloom index =
   encode_index b index;
   Buffer.contents b
 
-let decode_footer ~version data =
+let decode_footer data =
   let r = Wire.reader data in
-  match version with
-  | 1 -> (None, decode_index r)
-  | 2 ->
-      let tag = Wire.r8 r in
-      if tag <> footer_version then
-        raise (Wire.Malformed (Printf.sprintf "bad footer version tag %d" tag));
-      let bloom = Bloom.decode r in
-      (Some bloom, decode_index r)
-  | v -> raise (Wire.Malformed (Printf.sprintf "unknown footer version %d" v))
+  let tag = Wire.r8 r in
+  if tag <> footer_version then
+    raise (Wire.Malformed (Printf.sprintf "bad footer version tag %d" tag));
+  let bloom = Bloom.decode r in
+  (bloom, decode_index r)
 
 (* Split sorted entries into blocks of roughly [block_bytes] plaintext,
    never splitting the versions of one user key across blocks. *)
@@ -130,16 +125,12 @@ let bloom_of_entries entries =
   List.iter (fun (k, _, _) -> Bloom.add bloom k) entries;
   bloom
 
-let account_bloom sec = function
-  | None -> ()
-  | Some bloom ->
-      (* The filter is enclave-resident for the file's lifetime. *)
-      Treaty_tee.Enclave.alloc_enclave (Sec.enclave sec) (Bloom.bytes bloom)
+(* The filter is enclave-resident for the file's lifetime. *)
+let account_bloom sec bloom =
+  Treaty_tee.Enclave.alloc_enclave (Sec.enclave sec) (Bloom.bytes bloom)
 
 let release sec h =
-  match h.bloom with
-  | None -> ()
-  | Some bloom -> Treaty_tee.Enclave.free_enclave (Sec.enclave sec) (Bloom.bytes bloom)
+  Treaty_tee.Enclave.free_enclave (Sec.enclave sec) (Bloom.bytes h.bloom)
 
 let build ssd sec ~file_id ~block_bytes entries =
   if entries = [] then invalid_arg "Sstable.build: empty";
@@ -152,7 +143,7 @@ let build ssd sec ~file_id ~block_bytes entries =
       let stored = Sec.protect sec plain in
       (* TreatySan boundary: SSTable blocks go to the untrusted SSD. *)
       Treaty_crypto.Taint.check ~what:("sstable block write " ^ name) stored;
-      let bhash = Sec.digest sec stored in
+      let binding = Sec.bind sec stored in
       let first_key = (fun (k, _, _) -> k) (List.hd block_entries) in
       let last_key =
         (fun (k, _, _) -> k) (List.nth block_entries (List.length block_entries - 1))
@@ -163,7 +154,7 @@ let build ssd sec ~file_id ~block_bytes entries =
           last_key;
           offset = Buffer.length file;
           length = String.length stored;
-          bhash;
+          binding;
         }
         :: !index;
       Buffer.add_string file stored)
@@ -179,14 +170,13 @@ let build ssd sec ~file_id ~block_bytes entries =
   Buffer.add_string tail magic;
   Buffer.add_string file (Buffer.contents tail);
   ignore (Ssd.append ssd ~enclave:(Sec.enclave sec) name (Buffer.contents file));
-  account_bloom sec (Some bloom);
+  account_bloom sec bloom;
   let handle =
     {
       file_id;
       name;
       index;
-      bloom = Some bloom;
-      version = footer_version;
+      bloom;
       hmin_key = index.(0).first_key;
       hmax_key = index.(Array.length index - 1).last_key;
       data_bytes;
@@ -198,6 +188,10 @@ let open_ ?(version = footer_version) ssd sec ~file_id ~footer_digest =
   let name = file_name ~file_id in
   let total = Ssd.size ssd name in
   let enclave = Sec.enclave sec in
+  if version <> footer_version then
+    raise
+      (Sec.Integrity_violation
+         (Printf.sprintf "%s: unsupported footer version %d" name version));
   if total < 16 then raise (Sec.Integrity_violation (name ^ ": too small"));
   let tail = Ssd.read ssd ~enclave name ~off:(total - 16) ~len:16 in
   let r = Wire.reader tail in
@@ -210,7 +204,7 @@ let open_ ?(version = footer_version) ssd sec ~file_id ~footer_digest =
   Sec.check_digest sec ~what:(name ^ ": footer digest") ~data:footer
     ~expected:footer_digest;
   let bloom, index =
-    try decode_footer ~version footer
+    try decode_footer footer
     with Wire.Malformed m -> raise (Sec.Integrity_violation (name ^ ": " ^ m))
   in
   if Array.length index = 0 then raise (Sec.Integrity_violation (name ^ ": empty index"));
@@ -220,7 +214,6 @@ let open_ ?(version = footer_version) ssd sec ~file_id ~footer_digest =
     name;
     index;
     bloom;
-    version;
     hmin_key = index.(0).first_key;
     hmax_key = index.(Array.length index - 1).last_key;
     data_bytes = total - 16 - footer_len;
@@ -231,20 +224,18 @@ let min_key h = h.hmin_key
 let max_key h = h.hmax_key
 let data_bytes h = h.data_bytes
 let block_count h = Array.length h.index
-let format_version h = h.version
 
 let overlaps h ~min ~max = not (h.hmax_key < min || h.hmin_key > max)
 
-let may_contain h key =
-  match h.bloom with None -> true | Some bloom -> Bloom.mem bloom key
+let may_contain h key = Bloom.mem h.bloom key
 
 let read_stored_block ssd sec h meta =
   let stored =
     Ssd.read ssd ~enclave:(Sec.enclave sec) h.name ~off:meta.offset ~len:meta.length
   in
-  Sec.check_digest sec ~what:(h.name ^ ": block hash") ~data:stored
-    ~expected:meta.bhash;
-  let plain = Sec.unprotect sec stored in
+  let plain =
+    Sec.open_bound sec ~what:(h.name ^ ": block binding") ~binding:meta.binding stored
+  in
   let entries =
     try decode_block plain
     with Wire.Malformed m -> raise (Sec.Integrity_violation (h.name ^ ": " ^ m))

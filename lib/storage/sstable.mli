@@ -2,19 +2,23 @@
 
     On disk a table is a sequence of blocks of sorted KV versions — each
     block encrypted as a unit in [enc] mode — followed by a footer holding
-    per-block key ranges, offsets and hashes. The footer itself is
-    authenticated by its digest recorded in the MANIFEST's [Add_file] entry,
+    per-block key ranges, offsets and bindings ({!Sec.bind}: the sealed
+    block's 32-byte AEAD descriptor with encryption, its SHA-256 in
+    auth-only mode). The footer itself is not sealed; it is authenticated
+    by its SHA-256 digest recorded in the MANIFEST's [Add_file] entry,
     rooting the whole hierarchy in the counter-stamped MANIFEST chain:
-    tampering with a block fails the footer's block hash, tampering with the
-    footer fails the MANIFEST digest, and replaying an old file fails the
-    MANIFEST freshness check.
+    tampering with a block, or swapping in another sealed block, fails the
+    footer's binding or the block's tag; tampering with the footer fails
+    the MANIFEST digest; and replaying an old file fails the MANIFEST
+    freshness check.
 
-    Footer format v2 (PR 5) prepends a {!Bloom} filter over the file's user
-    keys, decoded into enclave memory at build/open time so absent-key
-    probes can skip the block read + verify + decrypt entirely. The
-    MANIFEST records each file's footer version; v1 (bare index) files
-    still open. The block-granular API ([find_block_idx]/[read_block_idx])
-    lets the engine route reads through its verified block cache.
+    Footer format v3 is a version tag, a {!Bloom} filter over the file's
+    user keys (decoded into enclave memory at build/open time so absent-key
+    probes can skip the block read + verify + decrypt entirely) and the
+    block index. The MANIFEST records each file's footer version, and only
+    v3 opens: v2 had the same layout but bound blocks by SHA-256. The
+    block-granular API ([find_block_idx]/[read_block_idx]) lets the engine
+    route reads through its verified block cache.
 
     All versions of one user key always share a block, so a point lookup
     touches exactly one block. *)
@@ -25,7 +29,8 @@ type entry = string * int * Op.t
 type handle
 
 val footer_version : int
-(** The footer format written by {!build} (currently 2). *)
+(** The footer format written by {!build}, the only one {!open_} accepts
+    (currently 3). *)
 
 val build :
   Ssd.t ->
@@ -43,7 +48,8 @@ val open_ :
 (** Recovery path: re-open a file named by its id, verifying the footer
     against the MANIFEST-recorded digest. [version] (default current) is
     the footer format the MANIFEST recorded for the file. Raises
-    {!Sec.Integrity_violation} on mismatch. *)
+    {!Sec.Integrity_violation} on mismatch, and naming the version for any
+    [version] other than {!footer_version}. *)
 
 val release : Sec.t -> handle -> unit
 (** Drop the handle's enclave residency (the Bloom filter) when the file
@@ -55,13 +61,12 @@ val min_key : handle -> string
 val max_key : handle -> string
 val data_bytes : handle -> int
 val block_count : handle -> int
-val format_version : handle -> int
 
 val overlaps : handle -> min:string -> max:string -> bool
 
 val may_contain : handle -> string -> bool
 (** Bloom probe: [false] means the key is definitely absent (skip the file);
-    [true] is only a hint. v1 files (no filter) always answer [true]. *)
+    [true] is only a hint. *)
 
 val find_block_idx : handle -> string -> int option
 (** Binary search over the block index (fence pointers) for the one block

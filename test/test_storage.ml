@@ -19,6 +19,35 @@ let mk_sec ?(mode = Enclave.Scone) ?(auth = true) ?(enc = true) sim =
     ~enc:(if enc then Some (Treaty_crypto.Aead.key_of_string "sk") else None)
     ()
 
+(* [f sim] as the main fiber of a fresh simulation; its result. *)
+let in_sim f =
+  let r = ref None in
+  with_sim (fun sim -> r := Some (f sim));
+  Option.get !r
+
+(* [Some what] if [f] raised [Sec.Integrity_violation what], [None] if it
+   returned. Any other exception escapes and fails the test. *)
+let violation f =
+  match f () with
+  | _ -> None
+  | exception Sec.Integrity_violation what -> Some what
+
+let flip_bit s bit =
+  let b = Bytes.of_string s in
+  let i = bit / 8 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+  Bytes.to_string b
+
+(* Adversary on the SSD: rewrite file [name] with [f] applied to its
+   bytes. *)
+let ssd_rewrite ssd ~enclave name f =
+  let raw =
+    Bytes.of_string (Ssd.read ssd ~enclave name ~off:0 ~len:(Ssd.size ssd name))
+  in
+  f raw;
+  Ssd.delete ssd name;
+  ignore (Ssd.append ssd ~enclave name (Bytes.to_string raw))
+
 (* --- Ssd --------------------------------------------------------------- *)
 
 let ssd_basics () =
@@ -135,6 +164,36 @@ let log_unstable_tail_dropped () =
             (Log_auth.next_counter log2)
       | Error e -> Alcotest.failf "unexpected: %a" Log_auth.pp_replay_error e)
 
+(* Replacing one entry's sealed blob with another entry's equal-length
+   blob: both are valid seals, so only the chain MAC over the descriptor
+   catches it. Entries are counter (8) | len (4) | stored | MAC (32), and
+   equal-length payloads make them equal-sized. *)
+let log_splice_detection () =
+  List.iter
+    (fun enc ->
+      with_sim (fun sim ->
+          let sec = mk_sec ~enc sim in
+          let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
+          let enclave = Sec.enclave sec in
+          let log = Log_auth.create ssd sec ~name:"WAL" in
+          for i = 1 to 6 do
+            ignore (Log_auth.append log (Printf.sprintf "payload-%d" i))
+          done;
+          let entry = Ssd.size ssd "WAL" / 6 in
+          let len = entry - 12 - 32 in
+          let blob k = Ssd.read ssd ~enclave "WAL" ~off:(((k - 1) * entry) + 12) ~len in
+          Alcotest.(check string) "entry 2's blob opens" "payload-2"
+            (Sec.unprotect sec ~what:"entry 2" (blob 2));
+          let donor = blob 2 in
+          ssd_rewrite ssd ~enclave "WAL" (fun raw ->
+              Bytes.blit_string donor 0 raw ((3 * entry) + 12) len);
+          match Log_auth.replay (Log_auth.create ssd sec ~name:"WAL") () with
+          | Error (`Tampered 4) -> ()
+          | Ok _ -> Alcotest.failf "spliced log accepted (enc=%b)" enc
+          | Error e ->
+              Alcotest.failf "unexpected (enc=%b): %a" enc Log_auth.pp_replay_error e))
+    [ true; false ]
+
 let log_plain_mode_no_auth () =
   with_sim (fun sim ->
       let sec = mk_sec ~auth:false ~enc:false sim in
@@ -150,6 +209,81 @@ let log_plain_mode_no_auth () =
         go 0
       in
       Alcotest.(check bool) "plaintext on disk" true (contains_substring raw "entry"))
+
+(* --- Sec bindings -------------------------------------------------------- *)
+
+let value_gen = QCheck.(string_of_size Gen.(0 -- 2048))
+
+let prop_bind_rejects_bit_flips =
+  QCheck.Test.make ~name:"sealed binding rejects every single-bit flip" ~count:12
+    value_gen (fun v ->
+      in_sim (fun sim ->
+          let sec = mk_sec sim in
+          let stored = Sec.protect sec v in
+          let binding = Sec.bind sec stored in
+          let open_ s () = Sec.open_bound sec ~what:"site" ~binding s in
+          String.length binding = 32
+          && open_ stored () = v
+          && List.for_all
+               (fun bit -> violation (open_ (flip_bit stored bit)) = Some "site")
+               (List.init (8 * String.length stored) Fun.id)))
+
+let prop_bind_rejects_other_seals =
+  QCheck.Test.make
+    ~name:"sealed binding rejects another value and a re-seal of the same one"
+    ~count:50
+    QCheck.(pair value_gen small_nat)
+    (fun (v, salt) ->
+      in_sim (fun sim ->
+          let sec = mk_sec sim in
+          let other = String.map (fun c -> Char.chr ((Char.code c + 1 + salt) land 0xff)) v in
+          let stored = Sec.protect sec v in
+          let binding = Sec.bind sec stored in
+          let reseal = Sec.protect sec v and stored_other = Sec.protect sec other in
+          let opens s b () = Sec.open_bound sec ~what:"site" ~binding:b s in
+          (* Both impostors are valid seals of the same length... *)
+          String.length reseal = String.length stored
+          && String.length stored_other = String.length stored
+          && opens reseal (Sec.bind sec reseal) () = v
+          && opens stored_other (Sec.bind sec stored_other) () = other
+          (* ...and neither passes for the first blob. *)
+          && violation (opens reseal binding) = Some "site"
+          && violation (opens stored_other binding) = Some "site"))
+
+let prop_bind_short_blob =
+  QCheck.Test.make
+    ~name:"a blob shorter than the AEAD overhead is an integrity violation"
+    ~count:100
+    QCheck.(string_of_size Gen.(0 -- (Treaty_crypto.Aead.overhead - 1)))
+    (fun short ->
+      in_sim (fun sim ->
+          let sec = mk_sec sim and sec_no_auth = mk_sec ~auth:false sim in
+          let binding = Sec.bind sec (Sec.protect sec short) in
+          violation (fun () -> Sec.open_bound sec ~what:"site" ~binding short)
+          = Some "site"
+          && violation (fun () -> Sec.unprotect sec_no_auth ~what:"site" short)
+             = Some "site"
+          && violation (fun () -> Sec.cover sec short) <> None))
+
+let prop_bind_auth_only =
+  QCheck.Test.make ~name:"auth-only binding is SHA-256 and rejects changes"
+    ~count:30
+    QCheck.(pair value_gen small_nat)
+    (fun (v, salt) ->
+      in_sim (fun sim ->
+          let sec = mk_sec ~enc:false sim in
+          let stored = Sec.protect sec v in
+          let binding = Sec.bind sec stored in
+          let opens s () = Sec.open_bound sec ~what:"site" ~binding s in
+          stored = v
+          && binding = Treaty_crypto.Sha256.digest_string v
+          && opens stored () = v
+          && List.for_all
+               (fun i -> violation (opens (flip_bit v ((8 * i) + ((i + salt) mod 8)))) = Some "site")
+               (List.init (String.length v) Fun.id)
+          && (v = ""
+             || violation (opens (String.map (fun c -> Char.chr (Char.code c lxor 1)) v))
+                = Some "site")))
 
 (* --- Skiplist ---------------------------------------------------------- *)
 
@@ -271,6 +405,26 @@ let memtable_epc_accounting () =
         (Enclave.epc_used e - epc0 >= 1000);
       Memtable.release mt2)
 
+(* Swapping two equal-length sealed values in host memory: each is a valid
+   blob, so only the in-enclave binding can tell them apart. *)
+let memtable_host_swap () =
+  List.iter
+    (fun enc ->
+      with_sim (fun sim ->
+          let sec = mk_sec ~enc sim in
+          let mt = Memtable.create sec in
+          Memtable.add mt ~key:"a" ~seq:1 (Op.Put "value-a");
+          Memtable.add mt ~key:"b" ~seq:2 (Op.Put "value-b");
+          Memtable.host_swap mt "a" "b";
+          List.iter
+            (fun key ->
+              Alcotest.(check (option string))
+                (Printf.sprintf "swapped %s detected (enc=%b)" key enc)
+                (Some "memtable value")
+                (violation (fun () -> Memtable.get mt ~key ~max_seq:10)))
+            [ "a"; "b" ]))
+    [ true; false ]
+
 (* --- Sstable ----------------------------------------------------------- *)
 
 let build_entries n =
@@ -326,6 +480,65 @@ let sstable_tamper () =
         with Sec.Integrity_violation _ -> true
       in
       Alcotest.(check bool) "footer tampering detected" true footer_detected)
+
+(* Swapping two equal-length sealed blocks on the SSD. Equal-size entries
+   fill blocks alike; blocks are laid out from offset 0, and both spans are
+   checked to open as sealed blobs before the swap. *)
+let sstable_block_splice () =
+  List.iter
+    (fun enc ->
+      with_sim (fun sim ->
+          let sec = mk_sec ~enc sim in
+          let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
+          let enclave = Sec.enclave sec in
+          let entries =
+            List.init 100 (fun i ->
+                (Printf.sprintf "key%04d" i, 1, Op.Put (String.make 20 'v')))
+          in
+          let h, _ = Sstable.build ssd sec ~file_id:5 ~block_bytes:512 entries in
+          let name = Sstable.file_name ~file_id:5 in
+          let stored_len idx =
+            String.length (snd (Sstable.read_block_idx ssd sec h idx))
+            + if enc then Treaty_crypto.Aead.overhead else 0
+          in
+          let len = stored_len 0 in
+          Alcotest.(check int) "blocks 0 and 1 have equal length" len (stored_len 1);
+          let blob off = Ssd.read ssd ~enclave name ~off ~len in
+          let b0 = blob 0 and b1 = blob len in
+          List.iter
+            (fun b -> ignore (Sec.unprotect sec ~what:"whole block" b))
+            [ b0; b1 ];
+          ssd_rewrite ssd ~enclave name (fun raw ->
+              Bytes.blit_string b1 0 raw 0 len;
+              Bytes.blit_string b0 0 raw len len);
+          List.iter
+            (fun idx ->
+              Alcotest.(check (option string))
+                (Printf.sprintf "swapped block %d detected (enc=%b)" idx enc)
+                (Some (name ^ ": block binding"))
+                (violation (fun () -> Sstable.read_block_idx ssd sec h idx)))
+            [ 0; 1 ]))
+    [ true; false ]
+
+(* Only footer v3 opens; every other recorded version is refused by name. *)
+let sstable_footer_versions () =
+  with_sim (fun sim ->
+      let sec = mk_sec sim in
+      let ssd = Ssd.create sim Treaty_sim.Costmodel.default in
+      let _, footer_digest =
+        Sstable.build ssd sec ~file_id:6 ~block_bytes:512 (build_entries 50)
+      in
+      Alcotest.(check int) "writes v3" 3 Sstable.footer_version;
+      List.iter
+        (fun version ->
+          Alcotest.(check (option string))
+            (Printf.sprintf "v%d refused" version)
+            (Some (Printf.sprintf "sst-000006: unsupported footer version %d" version))
+            (violation (fun () ->
+                 Sstable.open_ ~version ssd sec ~file_id:6 ~footer_digest)))
+        [ 0; 1; 2; 4 ];
+      let h = Sstable.open_ ~version:3 ssd sec ~file_id:6 ~footer_digest in
+      Alcotest.(check int) "v3 opens" 50 (List.length (Sstable.load_all ssd sec h)))
 
 let sstable_snapshot_reads () =
   with_sim (fun sim ->
@@ -1090,13 +1303,21 @@ let suite =
     Alcotest.test_case "log rollback detection (trusted counter)" `Quick log_rollback_detection;
     Alcotest.test_case "log unstable tail dropped" `Quick log_unstable_tail_dropped;
     Alcotest.test_case "plain mode stores plaintext" `Quick log_plain_mode_no_auth;
+    Alcotest.test_case "log entry splice detection" `Quick log_splice_detection;
+    QCheck_alcotest.to_alcotest prop_bind_rejects_bit_flips;
+    QCheck_alcotest.to_alcotest prop_bind_rejects_other_seals;
+    QCheck_alcotest.to_alcotest prop_bind_short_blob;
+    QCheck_alcotest.to_alcotest prop_bind_auth_only;
     Alcotest.test_case "skiplist version visibility" `Quick skiplist_versions;
     QCheck_alcotest.to_alcotest prop_skiplist_vs_model;
     QCheck_alcotest.to_alcotest prop_skiplist_sorted;
     Alcotest.test_case "memtable roundtrip + host tamper" `Quick memtable_roundtrip_and_tamper;
     Alcotest.test_case "memtable EPC accounting" `Quick memtable_epc_accounting;
+    Alcotest.test_case "memtable host swap detection" `Quick memtable_host_swap;
     Alcotest.test_case "sstable roundtrip" `Quick sstable_roundtrip;
     Alcotest.test_case "sstable tamper detection" `Quick sstable_tamper;
+    Alcotest.test_case "sstable block splice detection" `Quick sstable_block_splice;
+    Alcotest.test_case "sstable opens only footer v3" `Quick sstable_footer_versions;
     Alcotest.test_case "sstable snapshot reads" `Quick sstable_snapshot_reads;
     Alcotest.test_case "record codecs" `Quick codec_roundtrips;
     Alcotest.test_case "manifest version fold" `Quick manifest_version_fold;
